@@ -24,7 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 from repro.core.blocking import TextQueryBlocker, TokenBlocking
 from repro.core.config import CompressionConfig, ExpansionConfig, TDMatchConfig
@@ -42,6 +43,14 @@ _SIZES = {
 
 SUBCOMMANDS = ("run", "fit-save", "query")
 
+#: How the stage-timings title names each ``ENGINE_STAGES`` engine.
+ENGINE_LABELS = {
+    "graph": "graph engine",
+    "walks": "walk engine",
+    "word2vec": "w2v trainer",
+    "compression": "compression engine",
+}
+
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", default="imdb_wt", choices=sorted(SCENARIO_GENERATORS), help="scenario name")
@@ -49,21 +58,30 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="random seed")
 
 
+def _engine_assignment(value: str) -> Tuple[str, str]:
+    """Split one ``--engine STAGE=NAME`` value.
+
+    Stage and engine names are checked by ``TDMatchConfig.set_engines`` when
+    the config is built.
+    """
+    stage, sep, name = value.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected STAGE=NAME, got {value!r}")
+    return stage, name
+
+
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-walks", type=int, default=10, help="random walks per node")
     parser.add_argument("--walk-length", type=int, default=15, help="random walk length")
+    defaults = ", ".join(f"{stage}={name}" for stage, name in TDMatchConfig().engines.items())
     parser.add_argument(
-        "--graph-engine",
-        choices=["bulk", "reference"],
-        default="bulk",
-        help="graph construction: interned bulk engine (default) or the reference per-term loop",
-    )
-    parser.add_argument(
-        "--walk-engine",
-        choices=["csr", "python", "reference"],
-        default="csr",
-        help="walk implementation: vectorized CSR (default) or reference python "
-        "stepping ('reference' is an alias for 'python')",
+        "--engine",
+        action="append",
+        type=_engine_assignment,
+        default=[],
+        metavar="STAGE=NAME",
+        help=f"select a stage's engine; repeatable. Every stage accepts 'reference' "
+        f"(walks also 'python'); defaults: {defaults}",
     )
     parser.add_argument(
         "--retrieval-backend",
@@ -85,12 +103,6 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--vector-size", type=int, default=64, help="embedding dimensionality")
     parser.add_argument("--epochs", type=int, default=2, help="Word2Vec epochs")
-    parser.add_argument(
-        "--w2v-trainer",
-        choices=["vectorized", "reference"],
-        default="vectorized",
-        help="Word2Vec trainer: vectorized numpy engine (default) or the reference pair loop",
-    )
     parser.add_argument("--expansion", action="store_true", help="expand the graph with the scenario KB")
     parser.add_argument(
         "--compression",
@@ -99,17 +111,10 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--ratio", type=float, default=0.5, help="compression ratio / beta")
     parser.add_argument(
-        "--compression-engine",
-        choices=["bulk", "reference"],
-        default="bulk",
-        help="msp/ssp implementation: multi-source CSR BFS (default) or the reference "
-        "per-pair path enumeration",
-    )
-    parser.add_argument(
         "--num-workers",
         type=int,
         default=0,
-        help="worker processes sharding the fit's walk/compression/word2vec stages "
+        help="worker processes sharding the fit's compression sweep and Word2Vec epochs "
         "(0 = serial, the default; results are deterministic per shard count)",
     )
     parser.add_argument(
@@ -198,52 +203,58 @@ def build_query_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_for(scenario, args: argparse.Namespace) -> TDMatchConfig:
-    """Build the pipeline config a ``run``/``fit-save`` invocation asked for."""
+def _config_for(
+    parser: argparse.ArgumentParser, scenario, args: argparse.Namespace
+) -> TDMatchConfig:
+    """Build the pipeline config a ``run``/``fit-save`` invocation asked for.
+
+    Sections are rebuilt with ``dataclasses.replace`` so each one's
+    ``__post_init__`` validates the flag values: a bad value is a usage
+    error (exit 2), not a traceback from deep inside the fit.
+    """
     if scenario.task == "text-to-data":
         config = TDMatchConfig.for_text_to_data()
     else:
         config = TDMatchConfig.for_text_tasks()
-    config.builder.engine = args.graph_engine
-    config.walks.num_walks = args.num_walks
-    config.walks.walk_length = args.walk_length
-    config.walks.walk_engine = args.walk_engine
-    config.word2vec.vector_size = args.vector_size
-    config.word2vec.epochs = args.epochs
-    config.word2vec.trainer = args.w2v_trainer
-    config.parallel.num_workers = args.num_workers
-    config.reliability = ReliabilityConfig(
-        task_timeout=args.task_timeout,
-        max_retries=args.max_retries,
-        degrade_serial=not args.no_degrade,
-    )
-    backend = args.retrieval_backend
-    if args.blocking and backend != "blocked":
-        backend = "blocked"  # --blocking implies the blocked backend
-    config.retrieval.backend = backend
-    config.retrieval.chunk_size = args.chunk_size
-    if args.blocking:
-        config.retrieval.blocking = args.blocking
+    try:
+        config.walks = replace(config.walks, num_walks=args.num_walks, walk_length=args.walk_length)
+        config.word2vec = replace(config.word2vec, vector_size=args.vector_size, epochs=args.epochs)
+        config.parallel = replace(
+            config.parallel,
+            num_workers=args.num_workers,
+            reliability=ReliabilityConfig(
+                task_timeout=args.task_timeout,
+                max_retries=args.max_retries,
+                degrade_serial=not args.no_degrade,
+            ),
+        )
+        config.retrieval = replace(
+            config.retrieval,
+            # --blocking implies the blocked backend
+            backend="blocked" if args.blocking else args.retrieval_backend,
+            chunk_size=args.chunk_size,
+            blocking=args.blocking or config.retrieval.blocking,
+        )
+        if args.compression:
+            config.compression = CompressionConfig(
+                enabled=True, method=args.compression, ratio=args.ratio
+            )
+        config.set_engines(dict(args.engine))
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.expansion and scenario.kb is not None:
         config.expansion = ExpansionConfig(resource=scenario.kb)
-    if args.compression:
-        config.compression = CompressionConfig(
-            enabled=True,
-            method=args.compression,
-            ratio=args.ratio,
-            engine=args.compression_engine,
-        )
     return config
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.list:
         rows = [{"scenario": name} for name in sorted(SCENARIO_GENERATORS)]
         print(format_table(rows, title="Available scenarios"))
         return 0
 
     scenario = generate_scenario(args.scenario, size=_SIZES[args.size](), seed=args.seed)
-    config = _config_for(scenario, args)
+    config = _config_for(parser, scenario, args)
     emit_json = getattr(args, "json", False)
     if not emit_json:
         print(format_table([scenario.summary()], title="Scenario"))
@@ -302,25 +313,15 @@ def run(args: argparse.Namespace) -> int:
         for stage, seconds in pipeline.timings.as_dict().items()
     ]
     print()
-    graph_engine = pipeline.timings.note("graph_engine", args.graph_engine)
-    engine = pipeline.timings.note("walk_engine", args.walk_engine)
-    trainer = pipeline.timings.note("w2v_trainer", args.w2v_trainer)
+    engines = ", ".join(f"{ENGINE_LABELS[stage]}: {name}" for stage, name in config.engines.items())
     pairs_per_sec = pipeline.timings.note("w2v_pairs_per_sec", "-")
-    print(
-        format_table(
-            timing_rows,
-            title=(
-                f"Stage timings (graph engine: {graph_engine}, walk engine: {engine}, "
-                f"w2v trainer: {trainer}, {pairs_per_sec} pairs/s)"
-            ),
-        )
-    )
+    print(format_table(timing_rows, title=f"Stage timings ({engines}, {pairs_per_sec} pairs/s)"))
     return 0
 
 
-def run_fit_save(args: argparse.Namespace) -> int:
+def run_fit_save(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scenario = generate_scenario(args.scenario, size=_SIZES[args.size](), seed=args.seed)
-    config = _config_for(scenario, args)
+    config = _config_for(parser, scenario, args)
     config.serving.mmap = bool(args.mmap_default)
 
     pipeline = TDMatch(config, seed=args.seed)
@@ -394,13 +395,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     # else (including no arguments) parses with the legacy flat parser so
     # pre-subcommand invocations keep working unchanged.
     if argv and argv[0] in SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-        if command == "fit-save":
-            return run_fit_save(build_fit_save_parser().parse_args(rest))
+        command, argv = argv[0], argv[1:]
         if command == "query":
-            return run_query(build_query_parser().parse_args(rest))
-        return run(build_parser().parse_args(rest))
-    return run(build_parser().parse_args(argv))
+            return run_query(build_query_parser().parse_args(argv))
+        if command == "fit-save":
+            parser = build_fit_save_parser()
+            return run_fit_save(parser.parse_args(argv), parser)
+    parser = build_parser()
+    return run(parser.parse_args(argv), parser)
 
 
 if __name__ == "__main__":

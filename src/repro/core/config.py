@@ -3,14 +3,19 @@
 The defaults follow the paper's default configuration:
 
 * graph construction with Intersect filtering and n-grams up to 3 tokens;
-* 100 random walks of length 30 per node (reducible for small graphs),
-  generated by the vectorised CSR walk engine (``walks__walk_engine="python"``
-  selects the reference step-at-a-time engine);
+* 100 random walks of length 30 per node (reducible for small graphs);
 * Word2Vec Skip-gram with window 3 for text-to-data tasks, CBOW with window
-  15 for text-only tasks, trained by the vectorized numpy engine
-  (``word2vec__trainer="reference"`` selects the original pair loop);
+  15 for text-only tasks;
 * expansion and compression disabled unless a knowledge base / ratio is
   supplied.
+
+Every stage runs its fast engine by default.  ``TDMatchConfig.engines`` /
+``set_engines`` select engines under one ``{stage: engine}`` vocabulary
+(the stages are :data:`ENGINE_STAGES`; every stage accepts
+``"reference"``), which is also what the CLI's repeatable
+``--engine STAGE=NAME`` flag applies.  ``parallel.num_workers >= 1`` is
+the single switch that shards compression's DAG-union sweep and the
+Word2Vec epochs across worker processes.
 """
 
 from __future__ import annotations

@@ -165,7 +165,7 @@ class TDMatch:
         # materialising the full corpus first; the stopwatch around each
         # ``next()`` keeps "walks" and "word2vec" separately attributed.
         parallel = self.config.parallel
-        engine = make_walk_engine(built.graph, self.config.walks, parallel=parallel)
+        engine = make_walk_engine(built.graph, self.config.walks)
         walk_timer = Stopwatch()
         sentences = _timed_iter(
             engine.iter_walks(seed=derive_rng(self.seed, "walks")), walk_timer
@@ -182,7 +182,6 @@ class TDMatch:
         self.timings.set_note("num_workers", str(parallel.num_workers))
         if parallel.enabled:
             self.timings.set_note("parallel_shards", str(parallel.shards))
-            self.timings.set_note("parallel_stages", ",".join(parallel.stage_names()))
         if model.stats is not None:
             self.timings.set_note("w2v_trainer", model.stats.trainer)
             self.timings.set_note("w2v_pairs_per_sec", f"{model.stats.pairs_per_sec:.0f}")

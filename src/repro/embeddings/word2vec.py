@@ -260,8 +260,8 @@ class Word2Vec:
 
     def __init__(self, config: Optional[Word2VecConfig] = None, seed=None, parallel=None):
         self.config = config or Word2VecConfig()
-        # A repro.parallel.ParallelConfig (or None): when it enables the
-        # word2vec stage with a multi-shard plan, the vectorized trainer
+        # A repro.parallel.ParallelConfig (or None): when it is enabled
+        # with a multi-shard plan, the vectorized trainer
         # shards each epoch across workers (see repro.parallel.trainer).
         self.parallel = parallel
         self._rng = ensure_rng(seed)
@@ -526,11 +526,7 @@ class Word2Vec:
     def _shard_trainer(self):
         """The sharded epoch runner, when the parallel layer enables it."""
         parallel = self.parallel
-        if (
-            parallel is None
-            or not parallel.stage_enabled("word2vec")
-            or parallel.shards <= 1
-        ):
+        if parallel is None or not parallel.enabled or parallel.shards <= 1:
             return None
         from repro.parallel.trainer import EpochShardTrainer
 

@@ -59,9 +59,7 @@ def walk_batch_ids(
     """Advance one batch of walks to completion over raw CSR arrays.
 
     The id-matrix core of :meth:`CSRWalkEngine.walk_batch`, taking bare
-    ``indptr``/``indices`` so worker processes can run it against
-    shared-memory views without rebuilding a :class:`CSRAdjacency`
-    (see :mod:`repro.parallel.walks`).  Returns ``(walks, lengths)``: an
+    ``indptr``/``indices`` arrays.  Returns ``(walks, lengths)``: an
     ``int32`` matrix of shape ``(len(start_ids), walk_length)`` and the
     effective length of each row.
     """
@@ -191,30 +189,25 @@ def make_walk_engine(
     graph: MatchGraph,
     config: Optional[RandomWalkConfig] = None,
     batch_size: Optional[int] = None,
-    parallel=None,
 ):
     """Instantiate the engine selected by ``config.walk_engine``.
 
-    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) upgrades the
-    CSR engine to the sharded :class:`repro.parallel.walks.ParallelWalkEngine`
-    when the parallel layer is enabled for the walk stage; the python
-    engine ignores it.  The CSR engines fall back to the python engine when
-    the snapshot cannot be built — only for the failure classes snapshot
-    construction can legitimately hit (allocation failure, an id space
-    overflowing the int32 CSR indices, or the parallel layer being
-    unimportable), each logged as a warning through :mod:`repro.utils.logging`
-    before degrading.  Anything else (a caller bug such as an invalid
-    ``batch_size``, or an unexpected error) propagates: silently swapping
-    engines on an unknown failure would hide real defects behind a slower
-    but working fit.
+    The CSR engine falls back to the python engine when the snapshot cannot
+    be built — only for the failure classes snapshot construction can
+    legitimately hit (allocation failure or an id space overflowing the
+    int32 CSR indices), each logged as a warning through
+    :mod:`repro.utils.logging` before degrading.  Anything else (a caller
+    bug such as an invalid ``batch_size``, or an unexpected error)
+    propagates: silently swapping engines on an unknown failure would hide
+    real defects behind a slower but working fit.
     """
     config = config or RandomWalkConfig()
     if config.walk_engine in ("python", "reference"):
         return PythonWalkEngine(graph, config)
     try:
         # Build (or fetch) the snapshot first so only genuine snapshot
-        # failures trigger the fallback; the engine constructors below
-        # reuse the cached result, so this costs nothing extra.
+        # failures trigger the fallback; the engine constructor below
+        # reuses the cached result, so this costs nothing extra.
         csr_adjacency(graph)
     except (MemoryError, OverflowError, ValueError) as exc:
         logger.warning(
@@ -224,14 +217,4 @@ def make_walk_engine(
             exc,
         )
         return PythonWalkEngine(graph, config)
-    if parallel is not None and parallel.stage_enabled("walks"):
-        try:
-            # Imported lazily: repro.parallel.walks imports this module.
-            from repro.parallel.walks import ParallelWalkEngine
-        except ImportError as exc:
-            logger.warning(
-                "parallel walk engine unavailable (%s); using the serial CSR engine", exc
-            )
-        else:
-            return ParallelWalkEngine(graph, config, batch_size=batch_size, parallel=parallel)
     return CSRWalkEngine(graph, config, batch_size=batch_size)

@@ -1,15 +1,15 @@
 """Sharded parallel execution layer for the fit pipeline.
 
-Three fit stages — random walks, compression's DAG-union sweep, and the
-Word2Vec epoch loop — can shard across worker processes over
-shared-memory views of the CSR/model arrays, behind the
-:class:`ParallelConfig` switch (``num_workers=0`` keeps everything
-serial).  See the module docstrings for the per-stage determinism
-contract.
+Two fit stages — compression's DAG-union sweep and the Word2Vec epoch
+loop — shard across worker processes over shared-memory views of the
+CSR/model arrays, behind the single :class:`ParallelConfig` switch
+(``num_workers=0`` keeps everything serial).  Random walks always run the
+serial CSR engine: sharding them lost to serial at every measured load.
+See the module docstrings for the per-stage determinism contract.
 """
 
 from repro.parallel.compression import parallel_grouped_dag_union
-from repro.parallel.config import PARALLEL_STAGES, ParallelConfig
+from repro.parallel.config import ParallelConfig
 from repro.parallel.reliability import (
     ReliabilityConfig,
     ReliabilityEvent,
@@ -17,12 +17,10 @@ from repro.parallel.reliability import (
     drain_events,
     record_event,
 )
-from repro.parallel.shm import SharedArray, ShmArena, WorkerPool, attached
+from repro.parallel.shm import SharedArray, ShmArena, WorkerPool, attached, shard_ranges
 from repro.parallel.trainer import EpochShardTrainer
-from repro.parallel.walks import ParallelWalkEngine, shard_ranges, shard_streams
 
 __all__ = [
-    "PARALLEL_STAGES",
     "ParallelConfig",
     "ReliabilityConfig",
     "ReliabilityEvent",
@@ -34,8 +32,6 @@ __all__ = [
     "drain_events",
     "record_event",
     "EpochShardTrainer",
-    "ParallelWalkEngine",
     "parallel_grouped_dag_union",
     "shard_ranges",
-    "shard_streams",
 ]

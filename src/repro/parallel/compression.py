@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.graph.csr import multi_source_dag_union
 from repro.parallel.config import ParallelConfig
-from repro.parallel.shm import ShmArena, SharedArray, WorkerPool, attached
-from repro.parallel.walks import shard_ranges
+from repro.parallel.shm import ShmArena, SharedArray, WorkerPool, attached, shard_ranges
 
 
 class _CSRView:

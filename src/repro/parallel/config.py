@@ -1,8 +1,9 @@
 """Configuration of the sharded parallel fit (see :mod:`repro.parallel`).
 
-``ParallelConfig`` follows the engine-pair/config-switch pattern of the
-other stages: the default (``num_workers=0``) leaves the serial engines
-untouched, and each sharded stage can be toggled independently.
+``ParallelConfig`` is one switch: the default (``num_workers=0``) leaves
+the serial engines untouched, and ``num_workers >= 1`` shards the two
+stages measured to pay — compression's DAG-union sweep and the Word2Vec
+epochs.  Random walks always run the serial CSR engine.
 
 Determinism contract
 --------------------
@@ -13,22 +14,20 @@ Results are deterministic *per shard count*, not across shard counts:
   ``num_shards`` (default: ``num_workers``), so any worker count executing
   the same plan — including ``num_workers=1``, which runs the shards
   in-process — produces bit-identical results.
-* A single-shard plan (``num_shards=1``) consumes each stage's serial RNG
-  stream and is therefore bit-identical to ``num_workers=0``.
+* A single-shard plan (``num_shards=1``) is bit-identical to
+  ``num_workers=0``.
 * Compression sharding is RNG-free (pair sampling happens before the BFS
-  sweep), so its output is identical to serial at *any* shard count.
+  sweep), so its output is identical to serial at *any* shard count, and
+  walks are serial, so the walk corpus equals serial at any shard count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.parallel.reliability import ReliabilityConfig
-
-#: The fit stages the parallel layer can shard.
-PARALLEL_STAGES: Tuple[str, ...] = ("walks", "compression", "word2vec")
 
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
@@ -40,16 +39,15 @@ class ParallelConfig:
     Parameters
     ----------
     num_workers:
-        Worker processes for the sharded fit stages.  ``0`` (default)
-        disables the parallel layer entirely; ``1`` executes the shard plan
-        in-process (no worker processes — the parity baseline for any
-        ``num_workers=N`` run with the same ``num_shards``).
+        Worker processes for the sharded fit stages (compression and
+        Word2Vec).  ``0`` (default) disables the parallel layer entirely;
+        ``1`` executes the shard plan in-process (no worker processes — the
+        parity baseline for any ``num_workers=N`` run with the same
+        ``num_shards``).
     num_shards:
         Number of shards each stage splits its work into; ``None`` uses
         ``num_workers``.  The shard count — not the worker count — is what
-        fixes the RNG stream assignment and therefore the results.
-    shard_walks / shard_compression / shard_word2vec:
-        Per-stage toggles; a disabled stage runs its serial engine.
+        fixes the Word2Vec delta boundaries and therefore the results.
     mp_context:
         Multiprocessing start method; ``None`` picks ``fork`` where
         available (Linux) and falls back to ``spawn`` (macOS/Windows).
@@ -64,9 +62,6 @@ class ParallelConfig:
 
     num_workers: int = 0
     num_shards: Optional[int] = None
-    shard_walks: bool = True
-    shard_compression: bool = True
-    shard_word2vec: bool = True
     mp_context: Optional[str] = None
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
 
@@ -92,15 +87,6 @@ class ParallelConfig:
         if self.num_shards is not None:
             return self.num_shards
         return max(1, self.num_workers)
-
-    def stage_enabled(self, stage: str) -> bool:
-        if stage not in PARALLEL_STAGES:
-            raise ValueError(f"unknown parallel stage {stage!r}; valid: {sorted(PARALLEL_STAGES)}")
-        return self.enabled and getattr(self, f"shard_{stage}")
-
-    def stage_names(self) -> Tuple[str, ...]:
-        """The stages the current configuration shards."""
-        return tuple(stage for stage in PARALLEL_STAGES if self.stage_enabled(stage))
 
     def start_method(self) -> str:
         """The resolved multiprocessing start method."""

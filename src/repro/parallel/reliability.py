@@ -7,10 +7,10 @@ consults when a shard task misbehaves: how long a task may run
 rounds), and whether — once retries are exhausted — the pool degrades to
 inline serial execution (``degrade_serial``) instead of aborting the fit.
 
-Degradation is *safe* because of the PR 7 determinism contract: shard
-results are fixed by the shard plan and per-shard RNG streams, not by
-which process executes them, so the inline rerun is bit-identical to what
-the healthy pool would have produced.
+Degradation is *safe* because of the parallel layer's determinism
+contract: shard results are fixed by the shard plan, not by which process
+executes them, so the inline rerun is bit-identical to what the healthy
+pool would have produced.
 
 Every timeout / crash / retry / degradation is recorded as a
 :class:`ReliabilityEvent` in a module-level, thread-safe collector.
@@ -79,7 +79,7 @@ class ReliabilityEvent:
     """One supervision incident: a timeout, crash, retry round, or degradation."""
 
     kind: str  # "timeout" | "crash" | "retry" | "degraded"
-    pool: str  # pool label, e.g. "walks" / "word2vec" / "compression"
+    pool: str  # pool label, e.g. "word2vec" / "compression"
     task: int  # task index within the pool run (-1: whole round)
     attempt: int  # 0-based attempt number the incident happened on
     detail: str = ""

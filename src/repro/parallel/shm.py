@@ -1,4 +1,4 @@
-"""Shared-memory plumbing of the parallel fit: arena, attach, worker pool.
+"""Shared-memory plumbing of the parallel fit: arena, attach, shard plan, pool.
 
 The parent process owns every segment: :class:`ShmArena` creates them (one
 copy of each input array, plus zero-initialised output blocks) and
@@ -14,6 +14,8 @@ warning-free.
 parent (the parity path — same task functions, same shard plan, no
 processes), anything above fans out.  Keep the arena *outside* the pool
 context so workers finish (or die) before segments are unlinked.
+:func:`shard_ranges` is the shard plan both sharded stages split their
+work by.
 """
 
 from __future__ import annotations
@@ -198,6 +200,25 @@ def attached(*descs: SharedArray):
                 pass
 
 
+def shard_ranges(n: int, num_shards: int) -> List[Tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` ranges splitting ``n`` items into shards.
+
+    Always returns ``num_shards`` ranges (possibly empty ones when
+    ``num_shards > n``): the plan depends only on the shard count, never
+    on clamping.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be >= 1")
+    base, extra = divmod(max(0, int(n)), num_shards)
+    ranges = []
+    lo = 0
+    for i in range(num_shards):
+        hi = lo + base + (1 if i < extra else 0)
+        ranges.append((lo, hi))
+        lo = hi
+    return ranges
+
+
 class WorkerPool:
     """Supervised task fan-out behind the ``ParallelConfig.num_workers`` switch.
 
@@ -207,10 +228,10 @@ class WorkerPool:
     detected, the failed round is retried on a fresh executor with
     exponential backoff, and — once retries are exhausted — the remaining
     tasks degrade to inline serial execution, which is bit-identical to the
-    pooled result because shard outputs are fixed by the shard plan and
-    per-shard RNG streams, never by which process ran them.  Every incident
-    is recorded through :func:`repro.parallel.reliability.record_event` for
-    the pipeline to surface in ``report()``.
+    pooled result because shard outputs are fixed by the shard plan, never
+    by which process ran them.  Every incident is recorded through
+    :func:`repro.parallel.reliability.record_event` for the pipeline to
+    surface in ``report()``.
     """
 
     def __init__(self, config: ParallelConfig, label: str = "pool"):

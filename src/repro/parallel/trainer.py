@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.embeddings.word2vec import run_pair_batches
 from repro.parallel.config import ParallelConfig
-from repro.parallel.shm import ShmArena, SharedArray, WorkerPool, attached
-from repro.parallel.walks import shard_ranges
+from repro.parallel.shm import ShmArena, SharedArray, WorkerPool, attached, shard_ranges
 
 
 def train_shard_delta(

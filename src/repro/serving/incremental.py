@@ -85,6 +85,20 @@ def _coerce_records(records: Iterable) -> List[Tuple[str, Dict[str, object]]]:
     return out
 
 
+def _unique_ids(object_ids: Iterable, side: str) -> List[str]:
+    """The batch's ids as strings; a repeated id fails the whole batch."""
+    ids = [str(object_id) for object_id in object_ids]
+    seen = set()
+    for object_id in ids:
+        if object_id in seen:
+            raise PipelineError(
+                f"{side}-side object id {object_id!r} appears twice in one batch; "
+                "nothing was applied"
+            )
+        seen.add(object_id)
+    return ids
+
+
 # ----------------------------------------------------------------------
 # Graph deltas
 def add_documents(pipeline, documents: Iterable, side: str = "second") -> List[str]:
@@ -128,21 +142,22 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
 
     Term nodes stay — other objects may share them — and the removed
     labels keep their (now unreachable) embedding rows.  Returns the
-    removed metadata labels.
+    removed metadata labels.  All or nothing: an unknown or repeated id
+    fails the call before any object is removed.
     """
     state = pipeline.state
     mapping = _metadata_map(state.built, side)
     removed = []
     with pipeline.timings.measure("incremental_remove"):
         graph = state.built.graph
-        for object_id in object_ids:
-            object_id = str(object_id)
-            label = mapping.pop(object_id, None)
-            if label is None:
+        ids = _unique_ids(object_ids, side)
+        for object_id in ids:
+            if object_id not in mapping:
                 raise PipelineError(
-                    f"unknown {side}-side object id {object_id!r}; nothing removed "
-                    "for it (ids removed before the error have been applied)"
+                    f"unknown {side}-side object id {object_id!r}; nothing removed"
                 )
+        for object_id in ids:
+            label = mapping.pop(object_id)
             if label in graph:
                 graph.remove_node(label)
             removed.append(label)
@@ -153,7 +168,12 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
 
 
 def _apply_delta(pipeline, side, objects) -> List[str]:
-    """Insert ``(object_id, terms, per_column_terms)`` objects, then refresh."""
+    """Insert ``(object_id, terms, per_column_terms)`` objects, then refresh.
+
+    All or nothing: every id is checked against the metadata map, the graph
+    and the rest of the batch before anything is mutated, and a failed
+    embedding refresh rolls the splice back.
+    """
     state = pipeline.state
     built = state.built
     mapping = _metadata_map(built, side)
@@ -172,6 +192,13 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
     prefix = _label_prefix(mapping, side)
     role = _ROLE_BY_PREFIX.get(prefix, "document")
     graph = built.graph
+    ids = _unique_ids((object_id for object_id, _terms, _per_column in objects), side)
+    for object_id in ids:
+        if object_id in mapping or f"{prefix}{object_id}" in graph:
+            raise PipelineError(
+                f"{side}-side object id {object_id!r} already exists; "
+                "remove() it first to replace its contents"
+            )
 
     column_labels = _column_labels_of(graph, side) if role == "tuple" else {}
 
@@ -184,14 +211,8 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
         edges_u: List[str] = []
         edges_v: List[str] = []
         seen_new_terms = set()
-        for object_id, terms, per_column in objects:
-            object_id = str(object_id)
+        for object_id, (_, terms, per_column) in zip(ids, objects):
             label = f"{prefix}{object_id}"
-            if object_id in mapping or label in graph:
-                raise PipelineError(
-                    f"{side}-side object id {object_id!r} already exists; "
-                    "remove() it first to replace its contents"
-                )
             node_labels.append(label)
             node_roles.append(role)
             node_corpora.append(side)
@@ -219,7 +240,6 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
                     if term in kept_set:
                         edges_u.append(col_label)
                         edges_v.append(term)
-            mapping[object_id] = label
             new_labels.append(label)
         if node_labels:
             from repro.graph.graph import NodeKind
@@ -233,6 +253,7 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
         if edges_u:
             graph.add_edges_bulk(np.array(edges_u, dtype=object),
                                  np.array(edges_v, dtype=object))
+        mapping.update(zip(ids, new_labels))
 
     pipeline._delta_count += 1
     try:
@@ -245,8 +266,8 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
         for label in node_labels:
             if label in graph:
                 graph.remove_node(label)
-        for object_id, _terms, _per_column in objects:
-            mapping.pop(str(object_id), None)
+        for object_id in ids:
+            mapping.pop(object_id, None)
         pipeline._delta_count -= 1
         raise
     pipeline.timings.set_note("incremental_deltas", str(pipeline._delta_count))

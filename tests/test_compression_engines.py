@@ -550,10 +550,6 @@ class TestCliCompressionEngineFlag:
         assert cli.main(self.ARGS) == 0
         assert "engine=bulk" in capsys.readouterr().out
 
-    def test_reference_engine(self, capsys):
-        assert cli.main(self.ARGS + ["--compression-engine", "reference"]) == 0
-        assert "engine=reference" in capsys.readouterr().out
-
     def test_non_engine_method_runs(self, capsys):
         args = [a for a in self.ARGS]
         args[args.index("msp")] = "ssum"

@@ -551,7 +551,3 @@ class TestCliGraphEngineFlag:
     def test_bulk_default(self, capsys):
         assert cli.main(self.ARGS) == 0
         assert "graph engine: bulk" in capsys.readouterr().out
-
-    def test_reference_engine(self, capsys):
-        assert cli.main(self.ARGS + ["--graph-engine", "reference"]) == 0
-        assert "graph engine: reference" in capsys.readouterr().out

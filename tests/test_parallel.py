@@ -1,12 +1,11 @@
 """Tests for the sharded parallel fit layer (``repro.parallel``).
 
 Covers the determinism contract end to end — ``num_workers=1`` with one
-shard is bit-identical to the serial engines for all three sharded stages,
-and at a fixed shard count every worker count produces identical output —
-plus shared-memory teardown hygiene (a failing shard never leaks
-``/dev/shm`` segments) and the RNG stream discipline (hypothesis property:
-each shard's walk rows depend only on the base seed, its index, and its
-slice, never on the other shards).
+shard is bit-identical to the serial engines for both sharded stages
+(compression and Word2Vec), and at a fixed shard count every worker count
+produces identical output — plus shared-memory teardown hygiene (a failing
+shard never leaks ``/dev/shm`` segments) and the shard plan (hypothesis
+property: ``shard_ranges`` partitions its input into balanced ranges).
 """
 
 import numpy as np
@@ -19,36 +18,12 @@ from repro.core.config import CompressionConfig, TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
 from repro.graph.compression import msp_compress
-from repro.graph.csr import csr_adjacency
 from repro.graph.graph import MatchGraph, NodeKind
-from repro.graph.walk_engine import CSRWalkEngine, make_walk_engine
-from repro.graph.walks import RandomWalkConfig
-from repro.parallel import (
-    ParallelConfig,
-    ParallelWalkEngine,
-    ShmArena,
-    WorkerPool,
-    attached,
-    shard_ranges,
-    shard_streams,
-)
-from repro.parallel.walks import walk_shard
+from repro.parallel import ParallelConfig, ShmArena, WorkerPool, attached, shard_ranges
 
 
 # ----------------------------------------------------------------------
 # Fixtures
-def random_graph(num_nodes: int = 50, num_edges: int = 220, seed: int = 3) -> MatchGraph:
-    g = MatchGraph()
-    rng = np.random.default_rng(seed)
-    for i in range(num_nodes):
-        g.add_node(f"n{i}")
-    for _ in range(num_edges):
-        u, v = rng.integers(0, num_nodes, 2)
-        if u != v:
-            g.add_edge(f"n{u}", f"n{v}")
-    return g
-
-
 def metadata_graph() -> MatchGraph:
     """A two-corpus graph msp_compress and the pipeline can run on."""
     g = MatchGraph()
@@ -80,16 +55,6 @@ class TestParallelConfig:
         assert config.num_workers == 0
         assert not config.enabled
         assert config.shards == 1
-        for stage in ("walks", "compression", "word2vec"):
-            assert not config.stage_enabled(stage)
-
-    def test_enabled_stages(self):
-        config = ParallelConfig(num_workers=2, shard_compression=False)
-        assert config.enabled
-        assert config.shards == 2
-        assert config.stage_enabled("walks")
-        assert not config.stage_enabled("compression")
-        assert config.stage_names() == ("walks", "word2vec")
 
     def test_explicit_shards_override_workers(self):
         assert ParallelConfig(num_workers=2, num_shards=5).shards == 5
@@ -101,8 +66,6 @@ class TestParallelConfig:
             ParallelConfig(num_shards=0)
         with pytest.raises(ValueError):
             ParallelConfig(mp_context="bogus")
-        with pytest.raises(ValueError):
-            ParallelConfig().stage_enabled("bogus")
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +73,6 @@ class TestParallelConfig:
 def _boom(desc):
     with attached(desc):
         raise RuntimeError("shard failure")
-
-
-def _walk_boom(*args):
-    raise RuntimeError("walk shard died")
 
 
 def _read_first(desc):
@@ -173,76 +132,7 @@ class TestShmArena:
 
 
 # ----------------------------------------------------------------------
-# Walk sharding
-class TestParallelWalks:
-    def test_single_shard_bit_identical_to_serial(self):
-        graph = random_graph()
-        config = RandomWalkConfig(num_walks=4, walk_length=10)
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=11)
-        parallel = ParallelWalkEngine(
-            graph, config, parallel=ParallelConfig(num_workers=1, num_shards=1)
-        ).generate_walks(seed=11)
-        assert parallel == serial
-
-    def test_worker_count_invariant_at_fixed_shards(self):
-        graph = random_graph()
-        config = RandomWalkConfig(num_walks=3, walk_length=8)
-        one = ParallelWalkEngine(
-            graph, config, parallel=ParallelConfig(num_workers=1, num_shards=2)
-        ).generate_walks(seed=19)
-        two = ParallelWalkEngine(
-            graph, config, parallel=ParallelConfig(num_workers=2, num_shards=2)
-        ).generate_walks(seed=19)
-        assert one == two
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=19)
-        assert len(one) == len(serial)
-        assert sorted(w[0] for w in one) == sorted(w[0] for w in serial)
-
-    def test_deterministic_across_runs(self):
-        graph = random_graph()
-        config = RandomWalkConfig(num_walks=3, walk_length=8)
-        parallel = ParallelConfig(num_workers=2, num_shards=3)
-        first = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=4)
-        second = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=4)
-        assert first == second
-
-    def test_more_shards_than_start_nodes(self):
-        graph = random_graph(num_nodes=5, num_edges=12)
-        config = RandomWalkConfig(num_walks=2, walk_length=6)
-        parallel = ParallelConfig(num_workers=2, num_shards=16)
-        walks = ParallelWalkEngine(graph, config, parallel=parallel).generate_walks(seed=2)
-        serial = CSRWalkEngine(graph, config).generate_walks(seed=2)
-        assert len(walks) == len(serial)
-
-    def test_make_walk_engine_dispatch(self):
-        graph = random_graph()
-        engine = make_walk_engine(graph, parallel=ParallelConfig(num_workers=2))
-        assert isinstance(engine, ParallelWalkEngine)
-        assert engine.name == "csr-parallel"
-        # Disabled stage or serial config keeps the plain CSR engine.
-        off = make_walk_engine(graph, parallel=ParallelConfig(num_workers=2, shard_walks=False))
-        assert type(off) is CSRWalkEngine
-        serial = make_walk_engine(graph, parallel=ParallelConfig())
-        assert type(serial) is CSRWalkEngine
-
-    def test_failing_walk_shard_leaks_no_segments(self, monkeypatch):
-        import repro.parallel.walks as walks_module
-
-        monkeypatch.setattr(walks_module, "_walk_shard_task", _walk_boom)
-        graph = random_graph()
-        engine = ParallelWalkEngine(
-            graph,
-            RandomWalkConfig(num_walks=2, walk_length=6),
-            parallel=ParallelConfig(num_workers=2, num_shards=2),
-        )
-        before = ShmArena.live_segments()
-        with pytest.raises(RuntimeError, match="walk shard died"):
-            engine.generate_walks(seed=1)
-        assert ShmArena.live_segments() == before
-
-
-# ----------------------------------------------------------------------
-# RNG stream discipline (satellite: hypothesis property)
+# Shard plan (hypothesis property)
 class TestShardStreams:
     @given(
         n=st.integers(min_value=0, max_value=200),
@@ -259,51 +149,6 @@ class TestShardStreams:
         assert cursor == n
         sizes = [hi - lo for lo, hi in ranges]
         assert max(sizes) - min(sizes) <= 1
-
-    @given(
-        base=st.integers(min_value=0, max_value=2**32 - 1),
-        num_shards=st.integers(min_value=2, max_value=6),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_shard_output_depends_only_on_base_index_and_slice(
-        self, base, num_shards, seed
-    ):
-        # The disjoint-range-stability property behind the determinism
-        # contract: shard i's rows are a pure function of (base seed, i,
-        # its slice) — recomputing any one shard in isolation reproduces
-        # exactly the rows the full multi-shard run wrote for it.
-        graph = random_graph(num_nodes=24, num_edges=90, seed=seed)
-        csr = csr_adjacency(graph)
-        start_ids = np.arange(csr.num_nodes, dtype=np.int64)
-        num_walks, walk_length, batch_size = 2, 6, 7
-
-        full = np.zeros((num_walks * csr.num_nodes, walk_length), dtype=np.int32)
-        full_lengths = np.zeros(num_walks * csr.num_nodes, dtype=np.int64)
-        offsets = []
-        row = 0
-        for (lo, hi), rng in zip(
-            shard_ranges(csr.num_nodes, num_shards), shard_streams(base, num_shards)
-        ):
-            offsets.append(row)
-            row += walk_shard(
-                csr.indptr, csr.indices, start_ids[lo:hi], rng,
-                num_walks, walk_length, batch_size, full, full_lengths, row_offset=row,
-            )
-
-        for i, (lo, hi) in enumerate(shard_ranges(csr.num_nodes, num_shards)):
-            rows = (hi - lo) * num_walks
-            alone = np.zeros((rows, walk_length), dtype=np.int32)
-            alone_lengths = np.zeros(rows, dtype=np.int64)
-            rng = shard_streams(base, num_shards)[i]
-            walk_shard(
-                csr.indptr, csr.indices, start_ids[lo:hi], rng,
-                num_walks, walk_length, batch_size, alone, alone_lengths,
-            )
-            assert np.array_equal(full[offsets[i] : offsets[i] + rows], alone)
-            assert np.array_equal(
-                full_lengths[offsets[i] : offsets[i] + rows], alone_lengths
-            )
 
 
 # ----------------------------------------------------------------------
@@ -326,18 +171,6 @@ class TestParallelCompression:
         assert sharded.graph.nodes() == serial.graph.nodes()
         assert set(sharded.graph.edges()) == set(serial.graph.edges())
         assert sharded.graph.num_edges() == serial.graph.num_edges()
-
-    def test_disabled_stage_ignores_parallel(self):
-        graph = metadata_graph()
-        first = [f"t{i}" for i in range(8)]
-        second = [f"p{i}" for i in range(8)]
-        serial = msp_compress(graph, first, second, beta=1.0, seed=3)
-        off = msp_compress(
-            graph, first, second, beta=1.0, seed=3,
-            parallel=ParallelConfig(num_workers=2, shard_compression=False),
-        )
-        assert off.graph.nodes() == serial.graph.nodes()
-        assert set(off.graph.edges()) == set(serial.graph.edges())
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +248,8 @@ class TestPipelineParallel:
         assert single.match(k=10).as_id_lists() == serial.match(k=10).as_id_lists()
         assert serial.timings.note("num_workers") == "0"
         assert single.timings.note("num_workers") == "1"
-        assert single.timings.note("walk_engine") == "csr-parallel"
-        assert single.timings.note("parallel_stages") == "walks,compression,word2vec"
+        assert single.timings.note("walk_engine") == "csr"
+        assert single.timings.note("parallel_shards") == "1"
 
     def test_worker_count_invariant_at_fixed_shards(self, scenario):
         one = self._fit(scenario, 1, num_shards=2)

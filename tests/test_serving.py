@@ -389,6 +389,28 @@ class TestIncrementalFit:
         with pytest.raises(PipelineError, match="already exists"):
             pipeline.add_documents([(existing, "text")], side="second")
 
+    @staticmethod
+    def _delta_state(pipeline):
+        graph = pipeline.graph
+        return (
+            dict(pipeline.state.built.second_metadata),
+            set(graph.nodes()),
+            set(graph.edges()),
+            len(pipeline.model.vocab),
+        )
+
+    @pytest.mark.parametrize("clash", ["existing", "repeated"])
+    def test_failed_batch_leaves_no_partial_state(self, text_scenario, clash):
+        pipeline, _held = self._reduced_fit(text_scenario)
+        existing = list(pipeline.state.built.second_metadata)[0]
+        second_id = existing if clash == "existing" else "new-a"
+        before = self._delta_state(pipeline)
+        with pytest.raises(PipelineError):
+            pipeline.add_documents(
+                [("new-a", "a brand new film"), (second_id, "more text")], side="second"
+            )
+        assert self._delta_state(pipeline) == before
+
     def test_remove_drops_candidate(self, text_scenario):
         pipeline, _ = self._reduced_fit(text_scenario)
         victim = list(pipeline.state.built.second_metadata)[0]
@@ -406,6 +428,15 @@ class TestIncrementalFit:
         pipeline, _ = self._reduced_fit(text_scenario)
         with pytest.raises(PipelineError, match="unknown"):
             pipeline.remove(["no-such-id"], side="second")
+
+    @pytest.mark.parametrize("bad", ["no-such-id", "repeated"])
+    def test_failed_remove_removes_nothing(self, text_scenario, bad):
+        pipeline, _ = self._reduced_fit(text_scenario)
+        known = list(pipeline.state.built.second_metadata)[0]
+        before = self._delta_state(pipeline)
+        with pytest.raises(PipelineError):
+            pipeline.remove([known, known if bad == "repeated" else bad], side="second")
+        assert self._delta_state(pipeline) == before
 
     def test_incremental_on_mmap_loaded_index(self, text_scenario, tmp_path):
         pipeline, held = self._reduced_fit(text_scenario)

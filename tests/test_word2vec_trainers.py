@@ -322,10 +322,6 @@ class TestCliTrainerFlag:
         "--num-walks", "4", "--walk-length", "8", "--vector-size", "32", "--epochs", "1",
     ]
 
-    def test_reference_trainer_flag(self, capsys):
-        assert cli.main(self.ARGS + ["--w2v-trainer", "reference"]) == 0
-        assert "w2v trainer: reference" in capsys.readouterr().out
-
     def test_default_trainer_in_output(self, capsys):
         assert cli.main(self.ARGS) == 0
         assert "w2v trainer: vectorized" in capsys.readouterr().out
