@@ -22,10 +22,10 @@ are selected by ``Word2VecConfig.trainer``:
     mini-batch* (drawn per batch, not per pair), which turns the whole
     negative side of the update into three small dense matmuls with no
     scatter at all.  The remaining (center and positive-context) gradients
-    are accumulated through sorted-index segment sums (a one-hot CSR
-    product, :func:`segment_scatter_add`) instead of the slow buffered
-    ``np.add.at``, and the model trains in float32 (as gensim does),
-    halving memory traffic.
+    are accumulated through sorted-index segment sums
+    (:func:`segment_scatter_add`, scipy's compiled ``csr_matvecs`` kernel
+    called directly) instead of the slow buffered ``np.add.at``, and the
+    model trains in float32 (as gensim does), halving memory traffic.
 
 ``"reference"``
     The original token-by-token Python loop, kept for parity testing: pairs
@@ -55,6 +55,14 @@ from repro.embeddings.vocab import Vocabulary
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng
 
+try:
+    # The C++ kernel behind ``csr_matrix @ dense``.  ``_sparsetools`` is
+    # private scipy, so if it moves, segment_scatter_add falls back to the
+    # public csr_matrix product, which ends in this same kernel.
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # pragma: no cover - depends on the scipy release
+    _csr_matvecs = None
+
 logger = get_logger(__name__)
 
 TRAINERS = ("vectorized", "reference")
@@ -75,15 +83,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def segment_scatter_add(matrix: np.ndarray, indices: np.ndarray, updates: np.ndarray) -> None:
     """``matrix[indices] += updates`` with repeated indices accumulated.
 
-    Sorts the indices once, then sums each run of equal indices in a single
-    SIMD-friendly pass — a one-hot CSR matrix (runs × batch) multiplied
-    against the update block — and applies one plain fancy-index add per
-    unique index.  Both the buffered ``np.add.at`` and per-segment
-    ``np.add.reduceat`` walk the segments row by row in C loops; the sparse
-    product is ~3× faster at Word2Vec's (batch, dim) block shapes.
+    Sorts the indices once (stable), then sums each run of equal indices
+    with scipy's ``csr_matvecs`` kernel: the sort order is the column index
+    array of a one-hot (runs × batch) CSR matrix, so the kernel adds each
+    run's update rows in one compiled pass.  One plain fancy-index add per
+    unique index then writes the sums back.  Calling the kernel directly
+    skips the ``csr_matrix`` constructor, whose index and format checks
+    cost several times the product at Word2Vec's (batch, dim) block
+    shapes.  Without the private kernel the same product runs through
+    ``csr_matrix @ updates``; both paths give bit-identical output.
     """
     if indices.size == 0:
         return
+    if updates.shape[0] != indices.size:  # the kernel does not bounds-check
+        raise ValueError(f"{updates.shape[0]} update rows for {indices.size} indices")
     order = np.argsort(indices, kind="stable")
     sorted_idx = indices[order]
     boundary = np.empty(sorted_idx.size, dtype=bool)
@@ -91,11 +104,14 @@ def segment_scatter_add(matrix: np.ndarray, indices: np.ndarray, updates: np.nda
     np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=boundary[1:])
     seg_starts = np.flatnonzero(boundary)
     indptr = np.concatenate((seg_starts, [sorted_idx.size]))
-    one_hot = sparse.csr_matrix(
-        (np.ones(sorted_idx.size, dtype=updates.dtype), order, indptr),
-        shape=(seg_starts.size, sorted_idx.size),
-    )
-    matrix[sorted_idx[seg_starts]] += one_hot @ updates
+    n_seg, n = seg_starts.size, sorted_idx.size
+    ones = np.ones(n, dtype=updates.dtype)
+    if _csr_matvecs is None:
+        sums = sparse.csr_matrix((ones, order, indptr), shape=(n_seg, n)) @ updates
+    else:
+        sums = np.zeros((n_seg, updates.shape[1]), dtype=updates.dtype)
+        _csr_matvecs(n_seg, n, updates.shape[1], indptr, order, ones, updates.ravel(), sums.ravel())
+    matrix[sorted_idx[seg_starts]] += sums
 
 
 def pair_update(
@@ -356,7 +372,8 @@ class Word2Vec:
             ),
         )
         if not sentences:
-            return TrainingStats(trainer=config.trainer, pairs=0, epochs=0, seconds=0.0)
+            self.stats = TrainingStats(trainer=config.trainer, pairs=0, epochs=0, seconds=0.0)
+            return self.stats
 
         old_size = len(self.vocab)
         self.vocab.extend_from_sentences(sentences)
@@ -662,12 +679,6 @@ class Word2Vec:
         centers = np.repeat(flat_ids, counts)
         contexts = flat_ids[ctx_pos]
         return centers, contexts
-
-    def _pair_update(
-        self, in_ids: np.ndarray, out_ids: np.ndarray, negatives: np.ndarray, lr: float
-    ) -> None:
-        """One mini-batch SGD step on the model matrices (see :func:`pair_update`)."""
-        pair_update(self._input_vectors, self._output_vectors, in_ids, out_ids, negatives, lr)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -15,6 +15,7 @@ from repro import cli
 from repro.core.config import TDMatchConfig
 from repro.core.pipeline import TDMatch
 from repro.datasets import ScenarioSize, generate_scenario
+from repro.embeddings import word2vec
 from repro.embeddings.sampling import AliasSampler
 from repro.embeddings.similarity import cosine_similarity
 from repro.embeddings.vocab import Vocabulary
@@ -109,6 +110,47 @@ class TestSegmentScatterAdd:
         np.testing.assert_allclose(matrix[1], 2.0)
         np.testing.assert_allclose(matrix[3], 1.0)
         np.testing.assert_allclose(matrix[0], 0.0)
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_row_count_mismatch_raises(self, rows):
+        with pytest.raises(ValueError):
+            segment_scatter_add(np.zeros((4, 2)), np.array([0, 1, 1]), np.ones((rows, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        vocab=st.integers(1, 12),
+        size=st.integers(0, 40),
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kernel_equals_csr_matrix_fallback(self, dtype, vocab, size, dim, seed):
+        """The direct kernel and the public csr_matrix product agree bit for bit.
+
+        Small vocabularies force repeated indices; ``vocab=1`` gives a single
+        segment and ``size=0`` an empty batch.
+        """
+        assert word2vec._csr_matvecs is not None
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal((vocab, dim)).astype(dtype)
+        idx = rng.integers(0, vocab, size=size)
+        upd = rng.standard_normal((size, dim)).astype(dtype)
+        kernel = start.copy()
+        segment_scatter_add(kernel, idx, upd)
+        fallback = start.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(word2vec, "_csr_matvecs", None)
+            segment_scatter_add(fallback, idx, upd)
+        assert kernel.dtype == dtype
+        assert np.array_equal(kernel, fallback)
+
+    def test_fallback_trains_identical_model(self, monkeypatch):
+        config = Word2VecConfig(vector_size=16, epochs=2)
+        corpus = cooccurrence_corpus(60)
+        kernel = Word2Vec(config, seed=5).train(corpus).embedding_matrix()
+        monkeypatch.setattr(word2vec, "_csr_matvecs", None)
+        fallback = Word2Vec(config, seed=5).train(corpus).embedding_matrix()
+        assert np.array_equal(kernel, fallback)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +283,14 @@ class TestTrainerSelection:
         assert model.stats.pairs > 0
         assert model.stats.seconds >= 0.0
         assert model.stats.pairs_per_sec >= 0.0
+
+    @pytest.mark.parametrize("trainer", ["vectorized", "reference"])
+    def test_empty_fine_tune_replaces_stats(self, trainer):
+        config = Word2VecConfig(vector_size=8, epochs=2, trainer=trainer)
+        model = Word2Vec(config, seed=1).train(cooccurrence_corpus(40))
+        returned = model.fine_tune([])
+        assert returned.pairs == 0
+        assert model.stats is returned
 
     def test_vectorized_trains_in_float32(self):
         model = Word2Vec(Word2VecConfig(vector_size=8, epochs=1), seed=1).train(
