@@ -19,11 +19,13 @@ Baselines implemented for Table VIII and the related-work comparison:
 
 MSP and SSP are implemented twice behind an ``engine`` switch:
 
-* ``"bulk"`` (default) — one numpy frontier BFS per *distinct* sampled
-  source over the cached CSR snapshot, followed by a single backward sweep
-  that takes the union of the shortest-path DAG for every target of that
-  source at once (:func:`repro.graph.csr.shortest_path_dag_union`), so no
-  individual path is ever materialised.
+* ``"bulk"`` (default) — the sampled pairs are grouped by source, and all
+  groups advance in lock-step through one multi-source BFS over the cached
+  CSR snapshot (:func:`repro.graph.csr.multi_source_dag_union`): every BFS
+  level, forward and backward, is one boolean product of the shared
+  adjacency matrix with a ``(nodes, groups)`` frontier matrix, and the
+  backward sweep takes the union of the shortest-path DAG for every target
+  of every group at once, so no individual path is ever materialised.
 * ``"reference"`` — the original loop: one
   :meth:`MatchGraph.all_shortest_paths` enumeration per sampled pair.
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.graph.graph import MatchGraph
 
@@ -283,122 +284,140 @@ def multi_source_dag_union(
 
     The single-source sweep (:func:`shortest_path_dag_union`) pays numpy
     call overhead per BFS level *per source*; this variant advances every
-    group in lock-step instead, carrying the frontier as ``(group row,
-    node)`` pairs against one ``(B, n)`` level matrix, so each BFS level is
-    one batch of numpy ops for all groups together.  Groups are processed
-    in chunks of at most ``max_state_entries`` level-matrix cells to bound
-    memory (``int32`` cells: the default caps a chunk at ~16 MB).
+    group in lock-step instead (a multi-source BFS).  Each group is one
+    column of ``(n, batch)`` level and frontier matrices, and one boolean
+    product with the shared adjacency matrix expands every group's
+    frontier by one level, forward and backward alike.
+
+    Groups are processed in chunks whose ``(n, batch)`` matrices hold at
+    most ``max_state_entries`` cells (at least one group per chunk).  A
+    chunk's working set is a few such matrices — an ``int32`` level matrix
+    plus ``bool`` frontier, on-path and product matrices, about 10 bytes
+    per cell in all — so the default keeps the sweep under about 40 MB
+    (a 36 MB ``tracemalloc`` peak on a 7,880-node graph), the shared
+    adjacency and the ``bool`` edge mask over the CSR positions included.
 
     Returns ``(nodes, edge_u, edge_v)`` id arrays — the union over all
-    groups.  Edges are unique within a group but may repeat across groups;
-    callers dedup with :func:`repro.graph.graph.dedup_edge_ids`.
+    groups.  Every edge is a unique directed ``(predecessor, head)`` pair;
+    the same undirected edge may still appear in both directions when
+    different groups cross it opposite ways, so callers dedup with
+    :func:`repro.graph.graph.dedup_edge_ids`.
     """
     sources = np.asarray(sources, dtype=np.int64)
     n = csr.num_nodes
     total = len(sources)
+    # Row i of ``adjacency`` marks the neighbours of node i, so
+    # ``adjacency @ front`` marks every node with a frontier neighbour, per
+    # group column.  Built from the raw arrays only: the parallel shards
+    # pass a minimal CSR duck type.
+    adjacency = sparse.csr_matrix(
+        (np.ones(csr.indices.size, dtype=bool), csr.indices, csr.indptr), shape=(n, n)
+    )
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    node_mask = np.zeros(n, dtype=bool)
+    edge_mask = np.zeros(csr.indices.size, dtype=bool)
     chunk = max(1, min(total, max_state_entries // max(1, n)))
-    node_chunks: list = []
-    edge_u_chunks: list = []
-    edge_v_chunks: list = []
     for start in range(0, total, chunk):
-        nodes, edge_u, edge_v = _dag_union_batch(
-            csr, sources[start : start + chunk], targets_list[start : start + chunk]
+        _dag_union_batch(
+            adjacency,
+            heads,
+            sources[start : start + chunk],
+            targets_list[start : start + chunk],
+            max_state_entries,
+            node_mask,
+            edge_mask,
         )
-        if nodes.size:
-            node_chunks.append(nodes)
-        if edge_u.size:
-            edge_u_chunks.append(edge_u)
-            edge_v_chunks.append(edge_v)
-    empty = np.empty(0, dtype=np.int64)
+    positions = np.flatnonzero(edge_mask)
     return (
-        np.unique(np.concatenate(node_chunks)) if node_chunks else empty,
-        np.concatenate(edge_u_chunks) if edge_u_chunks else empty,
-        np.concatenate(edge_v_chunks) if edge_v_chunks else empty,
+        np.flatnonzero(node_mask),
+        csr.indices[positions].astype(np.int64),
+        heads[positions],
     )
 
 
-def _gather_rows(csr: CSRAdjacency, rows: np.ndarray, nodes: np.ndarray):
-    """CSR row gather for (group row, node) frontier pairs."""
-    counts, neighbors = _gather(csr, nodes)
-    return np.repeat(rows, counts), np.repeat(nodes, counts), neighbors
+def _expand(adjacency, front: np.ndarray) -> np.ndarray:
+    """``adjacency @ front``: the nodes adjacent to each group's frontier.
+
+    The adjacency is symmetric, so the product only needs the frontier's
+    own rows — ``adjacency[rows].T @ front[rows]`` — which skips most of
+    the matrix on the sparse early and late levels.
+    """
+    rows = np.flatnonzero(front.any(axis=1))
+    return adjacency[rows].T @ front[rows]
 
 
-def _dag_union_batch(csr: CSRAdjacency, sources: np.ndarray, targets_list):
-    n = np.int64(csr.num_nodes)
+def _dag_union_batch(
+    adjacency,
+    heads: np.ndarray,
+    sources: np.ndarray,
+    targets_list,
+    max_state_entries: int,
+    node_mask: np.ndarray,
+    edge_mask: np.ndarray,
+) -> None:
+    """One chunk of :func:`multi_source_dag_union`, accumulated in place.
+
+    Marks the chunk's DAG-union nodes in ``node_mask`` and its DAG edges in
+    ``edge_mask``, a mask over the CSR positions: position ``p`` is the
+    edge from predecessor ``indices[p]`` to head ``heads[p]``.
+    """
+    n = adjacency.shape[0]
     batch = len(sources)
-    levels = np.full(batch * int(n), -1, dtype=np.int32)
-    levels[np.arange(batch, dtype=np.int64) * n + sources] = 0
-    target_rows = np.repeat(
-        np.arange(batch, dtype=np.int64),
+    columns = np.arange(batch, dtype=np.int64)
+    target_cols = np.repeat(
+        columns,
         np.fromiter((len(t) for t in targets_list), dtype=np.int64, count=batch),
     )
-    target_nodes = (
-        np.concatenate([np.asarray(t, dtype=np.int64) for t in targets_list])
-        if len(target_rows)
-        else np.empty(0, dtype=np.int64)
-    )
-    target_flat = target_rows * n + target_nodes
+    target_nodes = np.concatenate([np.asarray(t, dtype=np.int64) for t in targets_list])
+    levels = np.full((n, batch), -1, dtype=np.int32)
+    levels[sources, columns] = 0
+    front = np.zeros((n, batch), dtype=bool)
+    front[sources, columns] = True
 
-    # Forward lock-step BFS.  Frontier pairs are packed as row*n + node;
-    # writing the depth into the flat level matrix dedups within an
-    # iteration for free (duplicate writes are idempotent) and the next
-    # frontier is recovered with one ``levels == depth`` scan — both much
-    # cheaper than hash/sort-based ``np.unique`` on the pair arrays.  A
-    # group leaves the frontier once every one of its targets has a level;
-    # the sweep ends when all groups are done or no frontier can grow, and
-    # each group's levels are complete up to the depth at which it retired —
-    # all the backward sweep needs.
-    frontier = np.arange(batch, dtype=np.int64) * n + sources
+    # Forward lock-step BFS.  A group retires (its frontier column is
+    # zeroed) once every one of its targets has a level; the sweep ends
+    # when no group can grow.  Each group's levels are therefore complete
+    # up to the depth at which it retired — all the backward sweep needs.
     depth = 0
-    while frontier.size:
+    while True:
         unfinished = np.zeros(batch, dtype=bool)
-        unfinished[target_rows[levels[target_flat] < 0]] = True
-        frontier = frontier[unfinished[frontier // n]]
-        if frontier.size == 0:
+        unfinished[target_cols[levels[target_nodes, target_cols] < 0]] = True
+        front &= unfinished
+        if not front.any():
             break
         depth += 1
-        rows, _heads, neighbors = _gather_rows(csr, frontier // n, frontier % n)
-        candidates = rows * n + neighbors
-        candidates = candidates[levels[candidates] < 0]
-        if candidates.size == 0:
-            break
-        levels[candidates] = depth
-        frontier = np.flatnonzero(levels == depth)
+        front = _expand(adjacency, front) & (levels < 0)
+        # Every frontier cell is unvisited (-1): adding ``depth + 1`` sets
+        # its level without a data-dependent branch per cell.
+        levels += front * np.int32(depth + 1)
 
-    # Backward sweep over the level DAGs of every group together.  The
-    # on-path pairs are marked in one flat bool matrix; the frontier at
-    # level ``lvl`` (that level's targets plus the predecessors discovered
-    # at ``lvl + 1``) falls out of an ``on_path & (levels == lvl)`` scan.
-    target_levels = levels[target_flat]
+    # Backward sweep over the level DAGs of every group together: the
+    # frontier at level ``lvl`` is that level's targets plus the
+    # predecessors found from ``lvl + 1``, and its predecessors are the
+    # level ``lvl - 1`` nodes adjacent to it.
+    target_levels = levels[target_nodes, target_cols]
+    # target == source: a node-only contribution.
+    node_mask[sources[np.unique(target_cols[target_levels == 0])]] = True
     reached = target_levels > 0
-    empty = np.empty(0, dtype=np.int64)
-    node_parts = []
-    degenerate = target_levels == 0  # target == source: node-only contribution
-    if degenerate.any():
-        node_parts.append(np.unique(sources[np.unique(target_rows[degenerate])]))
     if not reached.any():
-        return (
-            np.unique(np.concatenate(node_parts)) if node_parts else empty,
-            empty,
-            empty,
-        )
-    on_path = np.zeros(batch * int(n), dtype=bool)
-    on_path[target_flat[reached]] = True
-    edge_u_parts, edge_v_parts = [], []
+        return
+    on_path = np.zeros((n, batch), dtype=bool)
+    on_path[target_nodes[reached], target_cols[reached]] = True
+    indices = adjacency.indices
+    slice_len = max(1, max_state_entries // batch)
     for lvl in range(int(target_levels[reached].max()), 0, -1):
-        frontier = np.flatnonzero(on_path & (levels == lvl))
-        rows, heads, neighbors = _gather_rows(csr, frontier // n, frontier % n)
-        flat = rows * n + neighbors
-        keep = levels[flat] == lvl - 1
-        edge_u_parts.append(neighbors[keep])
-        edge_v_parts.append(heads[keep])
-        on_path[flat[keep]] = True
-    node_parts.append(np.unique(np.flatnonzero(on_path) % n))
-    return (
-        np.unique(np.concatenate(node_parts)),
-        np.concatenate(edge_u_parts),
-        np.concatenate(edge_v_parts),
-    )
+        front = on_path & (levels == lvl)
+        preds = _expand(adjacency, front) & (levels == lvl - 1)
+        on_path |= preds
+        # Position p is a DAG edge iff some group has its predecessor in
+        # ``preds`` and its head in ``front``; only positions where both
+        # hold for *some* group need the per-group test.
+        candidates = np.flatnonzero(preds.any(axis=1)[indices] & front.any(axis=1)[heads])
+        for lo in range(0, candidates.size, slice_len):
+            part = candidates[lo : lo + slice_len]
+            hit = (preds[indices[part]] & front[heads[part]]).any(axis=1)
+            edge_mask[part[hit]] = True
+    node_mask[on_path.any(axis=1)] = True
 
 
 def prime_csr_cache(graph: MatchGraph, snapshot: CSRAdjacency) -> CSRAdjacency:

@@ -71,8 +71,8 @@ def parallel_grouped_dag_union(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sharded equivalent of the serial grouped DAG-union sweep.
 
-    Returns concatenated ``(nodes, edge_u, edge_v)`` id arrays (duplicates
-    allowed, exactly like the serial sweep — the caller dedups).
+    Returns concatenated ``(nodes, edge_u, edge_v)`` id arrays; shards may
+    repeat each other's nodes and edges, and the caller dedups.
     """
     sources = sorted(by_source)
     num_shards = max(1, min(parallel.shards, len(sources)))

@@ -11,8 +11,11 @@ against a recomputed oracle, the seeded end-to-end ``TDMatch.match``
 identity with compression enabled across both engines, and the CLI flag.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse  # noqa: F401 -- imported before any tracemalloc window opens
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from repro.graph.compression import (
 )
 from repro.graph.csr import (
     bfs_levels,
+    build_csr_from_edges,
     csr_adjacency,
     multi_source_dag_union,
     shortest_path_dag_union,
@@ -86,6 +90,43 @@ def random_graph(draw):
         )
     )
     return build_graph(n_first, n_second, n_data, edges, n_shared=n_shared)
+
+
+@st.composite
+def dag_union_groups(draw):
+    """A random graph in two disconnected parts plus ``(source, targets)`` groups.
+
+    The first part may carry a path backbone, so targets sit at very
+    different depths and groups retire at different levels.  Target lists
+    may repeat a node, contain the group's own source, or be empty.
+    """
+    n = draw(st.integers(min_value=2, max_value=16))
+    split = draw(st.integers(min_value=1, max_value=n))
+    edges = set()
+    if draw(st.booleans()):
+        edges.update((i, i + 1) for i in range(split - 1))
+    for lo, hi in ((0, split), (split, n)):
+        if hi - lo < 2:
+            continue
+        part = st.integers(min_value=lo, max_value=hi - 1)
+        for a, b in draw(st.lists(st.tuples(part, part), max_size=2 * (hi - lo))):
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+    node = st.integers(min_value=0, max_value=n - 1)
+    sources = draw(st.lists(node, min_size=1, max_size=6))
+    targets = []
+    for source in sources:
+        group = draw(st.lists(node, max_size=4))
+        if group and draw(st.booleans()):
+            group.append(group[0])
+        if draw(st.booleans()):
+            group.append(source)
+        targets.append(group)
+    return n, sorted(edges), sources, targets
+
+
+def canonical_edges(edge_u, edge_v):
+    return {(min(a, b), max(a, b)) for a, b in zip(edge_u.tolist(), edge_v.tolist())}
 
 
 def example_graph():
@@ -221,6 +262,55 @@ class TestBfsPrimitives:
         assert set(whole[0].tolist()) == set(chunked[0].tolist())
         canonical = lambda u, v: {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}  # noqa: E731
         assert canonical(whole[1], whole[2]) == canonical(chunked[1], chunked[2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=dag_union_groups())
+    def test_multi_source_equals_per_source_union(self, spec):
+        n, edges, sources, targets = spec
+        csr = build_csr_from_edges(
+            [str(i) for i in range(n)],
+            np.array([u for u, _ in edges], dtype=np.int64),
+            np.array([v for _, v in edges], dtype=np.int64),
+        )
+        expected_nodes, expected_edges = set(), set()
+        for source, target_ids in zip(sources, targets):
+            nodes, eu, ev = shortest_path_dag_union(
+                csr, source, np.array(target_ids, dtype=np.int64)
+            )
+            expected_nodes.update(nodes.tolist())
+            expected_edges.update(canonical_edges(eu, ev))
+        for max_state_entries in (1, 2 * n, 4_000_000):
+            nodes, eu, ev = multi_source_dag_union(
+                csr,
+                np.array(sources, dtype=np.int64),
+                [np.array(t, dtype=np.int64) for t in targets],
+                max_state_entries=max_state_entries,
+            )
+            assert set(nodes.tolist()) == expected_nodes
+            assert canonical_edges(eu, ev) == expected_edges
+            directed = list(zip(eu.tolist(), ev.tolist()))
+            assert len(set(directed)) == len(directed)
+
+    def test_multi_source_memory_is_bounded(self):
+        # K(20, 1000): every leaf-to-leaf shortest path crosses all 20
+        # hubs, so one group's level-2 frontier expansion touches all
+        # 20,000 hub-row entries.  Gathering those rows per group cost
+        # ~200 MB here; the boolean-product sweep needs a few MB.
+        hubs, leaves = 20, 1000
+        hub_ids = np.repeat(np.arange(hubs, dtype=np.int64), leaves)
+        leaf_ids = hubs + np.tile(np.arange(leaves, dtype=np.int64), hubs)
+        csr = build_csr_from_edges([str(i) for i in range(hubs + leaves)], hub_ids, leaf_ids)
+        rng = np.random.default_rng(0)
+        sources = hubs + rng.choice(leaves, size=200, replace=False)
+        targets = [hubs + rng.choice(leaves, size=3, replace=False) for _ in sources]
+        tracemalloc.start()
+        try:
+            nodes, _eu, _ev = multi_source_dag_union(csr, sources, targets)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(range(hubs)) <= set(nodes.tolist())
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ----------------------------------------------------------------------
