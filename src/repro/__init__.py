@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - static type checkers only
         RetrievalConfig,
         TDMatchConfig,
     )
-    from repro.core.matcher import MetadataMatcher, combine_score_matrices
+    from repro.core.matcher import MetadataMatcher
     from repro.core.pipeline import MatchResult, TDMatch
     from repro.corpus import Document, Table, Taxonomy, TextCorpus
     from repro.eval.metrics import evaluate_rankings
@@ -49,7 +49,6 @@ _EXPORTS = {
     "CompressionConfig": "repro.core.config",
     "RetrievalConfig": "repro.core.config",
     "MetadataMatcher": "repro.core.matcher",
-    "combine_score_matrices": "repro.core.matcher",
     "DenseTopK": "repro.retrieval",
     "BlockedTopK": "repro.retrieval",
     "CombinedTopK": "repro.retrieval",

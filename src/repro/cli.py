@@ -233,7 +233,6 @@ def _config_for(
             # --blocking implies the blocked backend
             backend="blocked" if args.blocking else args.retrieval_backend,
             chunk_size=args.chunk_size,
-            blocking=args.blocking or config.retrieval.blocking,
         )
         if args.compression:
             config.compression = CompressionConfig(
@@ -277,7 +276,7 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # Token blocking needs the corpus texts, which the fitted pipeline does
     # not retain — build the blocker from the scenario and hand it over.
     blocker = None
-    if config.retrieval.backend == "blocked" and args.blocking == "token":
+    if args.blocking == "token":
         token_blocking = TokenBlocking().fit(scenario.candidate_texts())
         blocker = TextQueryBlocker(token_blocking, scenario.query_texts())
 
@@ -320,6 +319,10 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def run_fit_save(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.blocking == "token":
+        # The index keeps no corpus texts, so a query process could not
+        # rebuild the token blocker.
+        parser.error("--blocking token cannot be saved in an index; use --blocking neighborhood")
     scenario = generate_scenario(args.scenario, size=_SIZES[args.size](), seed=args.seed)
     config = _config_for(parser, scenario, args)
     config.serving.mmap = bool(args.mmap_default)

@@ -11,7 +11,6 @@ from repro.core.config import (
     TDMatchConfig,
 )
 from repro.core.blocking import (
-    BlockedMatcher,
     GraphQueryBlocker,
     MetadataNeighborhoodBlocking,
     TextQueryBlocker,
@@ -19,7 +18,7 @@ from repro.core.blocking import (
 )
 from repro.core.downstream import EmbeddingPairClassifier
 from repro.core.exceptions import NotFittedError, PipelineError
-from repro.core.matcher import MetadataMatcher, combine_score_matrices
+from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import MatchResult, TDMatch
 
 __all__ = [
@@ -33,13 +32,11 @@ __all__ = [
     "TDMatch",
     "MatchResult",
     "MetadataMatcher",
-    "combine_score_matrices",
     "RetrievalConfig",
     "TokenBlocking",
     "MetadataNeighborhoodBlocking",
     "TextQueryBlocker",
     "GraphQueryBlocker",
-    "BlockedMatcher",
     "EmbeddingPairClassifier",
     "NotFittedError",
     "PipelineError",

@@ -17,31 +17,27 @@ Two blockers are provided:
 
 Both are lifted to the per-query-id
 :class:`~repro.retrieval.base.QueryBlocker` interface by
-:class:`TextQueryBlocker` / :class:`GraphQueryBlocker`, which is what
-:class:`~repro.retrieval.blocked.BlockedTopK` consumes — so either blocker
-plugs into :class:`BlockedMatcher` and ``TDMatch.match`` alike.
-
-:class:`BlockedMatcher` combines a blocker with a fitted
-:class:`~repro.core.matcher.MetadataMatcher`: it *scores* only the blocked
-pairs (exactly ``BlockingStatistics.compared_pairs`` of them — the full
-score matrix is never computed) and falls back to the full ranking when a
-block is empty.
+:class:`TextQueryBlocker` / :class:`GraphQueryBlocker`.  Pass either adapter
+to :class:`~repro.retrieval.blocked.BlockedTopK` (for instance through
+``MetadataMatcher.match_with_stats(backend=...)``) or to
+``TDMatch.match(blocker=...)``: only the blocked pairs are scored, exactly
+``RetrievalStats.scored_pairs`` of them, and an empty block falls back to
+the full ranking when ``fallback_to_full`` is set.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Union
+from typing import Dict, List, Mapping, Optional, Set
 
-
-from repro.core.matcher import MetadataMatcher
-from repro.eval.ranking import RankingSet
 from repro.graph.graph import MatchGraph
-from repro.retrieval import BlockedTopK
-from repro.retrieval.base import QueryBlocker
 from repro.text.preprocess import Preprocessor
+
+
+def _check_max_block_size(max_block_size: Optional[int]) -> None:
+    if max_block_size is not None and max_block_size < 1:
+        raise ValueError("max_block_size must be None or >= 1")
 
 
 class TokenBlocking:
@@ -56,6 +52,7 @@ class TokenBlocking:
     ):
         if min_shared_terms < 1:
             raise ValueError("min_shared_terms must be >= 1")
+        _check_max_block_size(max_block_size)
         self.min_shared_terms = min_shared_terms
         self.use_idf = use_idf
         self.max_block_size = max_block_size
@@ -108,6 +105,7 @@ class MetadataNeighborhoodBlocking:
     def __init__(self, graph: MatchGraph, max_hops: int = 2, max_block_size: Optional[int] = None):
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        _check_max_block_size(max_block_size)
         self.graph = graph
         self.max_hops = max_hops
         self.max_block_size = max_block_size
@@ -178,86 +176,3 @@ class GraphQueryBlocker:
         if label is None:
             return []
         return self.blocking.block(label, self.candidate_labels)
-
-
-@dataclass
-class BlockingStatistics:
-    """How much work blocking saved compared to the all-pairs comparison."""
-
-    n_queries: int
-    n_candidates: int
-    compared_pairs: int
-    empty_blocks: int
-
-    @property
-    def all_pairs(self) -> int:
-        return self.n_queries * self.n_candidates
-
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of pairwise comparisons avoided (1.0 = everything)."""
-        if self.all_pairs == 0:
-            return 0.0
-        return 1.0 - self.compared_pairs / self.all_pairs
-
-
-class BlockedMatcher:
-    """Rank only the blocked candidates of each query with the embeddings.
-
-    ``blocker`` may be a fitted :class:`TokenBlocking` (then ``query_texts``
-    supplies the per-query text, as before), a
-    :class:`MetadataNeighborhoodBlocking` (then ``query_labels`` and
-    ``candidate_labels`` supply the object-id → metadata-label maps), or any
-    ready-made :class:`~repro.retrieval.base.QueryBlocker`.
-
-    Matching routes through :class:`~repro.retrieval.blocked.BlockedTopK`,
-    so exactly ``statistics.compared_pairs`` similarity values are computed
-    — the all-pairs score matrix is never materialised.
-
-    Score ties are broken by candidate *index* (position in the matcher's
-    candidate list), the retrieval layer's uniform contract.  The historical
-    implementation broke ties by candidate id string, so tied candidates may
-    order differently than before this refactor.
-    """
-
-    def __init__(
-        self,
-        matcher: MetadataMatcher,
-        blocker: Union[TokenBlocking, MetadataNeighborhoodBlocking, QueryBlocker],
-        query_texts: Optional[Mapping[str, str]] = None,
-        fallback_to_full: bool = True,
-        query_labels: Optional[Mapping[str, str]] = None,
-        candidate_labels: Optional[Mapping[str, str]] = None,
-    ):
-        self.matcher = matcher
-        if isinstance(blocker, TokenBlocking):
-            if query_texts is None:
-                raise ValueError("TokenBlocking needs query_texts")
-            query_blocker: QueryBlocker = TextQueryBlocker(blocker, query_texts)
-        elif isinstance(blocker, MetadataNeighborhoodBlocking):
-            if query_labels is None or candidate_labels is None:
-                raise ValueError(
-                    "MetadataNeighborhoodBlocking needs query_labels and candidate_labels"
-                )
-            query_blocker = GraphQueryBlocker(blocker, query_labels, candidate_labels)
-        else:
-            query_blocker = blocker
-        self.blocker = query_blocker
-        self.fallback_to_full = fallback_to_full
-        self._stats: Optional[BlockingStatistics] = None
-
-    @property
-    def statistics(self) -> Optional[BlockingStatistics]:
-        """Statistics of the last :meth:`match` call."""
-        return self._stats
-
-    def match(self, k: int = 20) -> RankingSet:
-        backend = BlockedTopK(self.blocker, fallback_to_full=self.fallback_to_full)
-        rankings, stats = self.matcher.match_with_stats(k=k, backend=backend)
-        self._stats = BlockingStatistics(
-            n_queries=stats.n_queries,
-            n_candidates=stats.n_candidates,
-            compared_pairs=stats.scored_pairs,
-            empty_blocks=stats.empty_blocks,
-        )
-        return rankings

@@ -1,85 +1,70 @@
 """Unsupervised matching of metadata nodes (Section IV-B).
 
-Given vectors for the metadata nodes of the two corpora, the matcher ranks,
-for every query object, the candidate objects of the other corpus by cosine
-similarity.  The ranking itself is delegated to a pluggable
+Given the metadata-node vectors of the two corpora — one id list and one
+row-aligned matrix per side, as ``TDMatch.matcher`` gathers them from the
+model's embedding matrix — the matcher ranks, for every query object, the
+candidate objects of the other corpus by cosine similarity.  The ranking
+itself is one call to a pluggable
 :class:`~repro.retrieval.base.RetrievalBackend` (dense chunked scoring by
-default; see :mod:`repro.retrieval`), and the matcher also supports
-averaging its score matrix with the one of a pre-trained sentence encoder —
-the combination evaluated in Figure 10, implemented by
+default; blocked scoring via :class:`~repro.retrieval.blocked.BlockedTopK`;
+see :mod:`repro.retrieval`).  The matcher also supports averaging its score
+matrix with the one of a pre-trained sentence encoder — the combination
+evaluated in Figure 10, implemented by
 :class:`~repro.retrieval.combined.CombinedTopK`.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.similarity import cosine_matrix, top_k_neighbors
-from repro.eval.ranking import Ranking, RankingSet
-from repro.retrieval import CombinedTopK, DenseTopK, RetrievalStats, combine_scores
+from repro.embeddings.similarity import cosine_matrix
+from repro.eval.ranking import RankingSet
+from repro.retrieval import CombinedTopK, DenseTopK, RetrievalStats
 from repro.retrieval.base import RetrievalBackend
-
-
-def _matrix_from_vectors(ids: Sequence[str], vectors: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
-    matrix = np.zeros((len(ids), dim), dtype=float)
-    for i, object_id in enumerate(ids):
-        vec = vectors.get(object_id)
-        if vec is not None:
-            matrix[i] = vec
-    return matrix
-
-
-def combine_score_matrices(matrices: Sequence[np.ndarray], weights: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Average several score matrices (Figure 10's W-RW & S-BE combination).
-
-    Each matrix is min-max normalised per query row before averaging so that
-    methods with different score scales contribute equally; constant rows
-    contribute 0.  Delegates to the vectorised
-    :func:`repro.retrieval.combined.combine_scores`.
-    """
-    return combine_scores(matrices, weights=weights)
 
 
 class MetadataMatcher:
     """Ranks candidate objects for query objects using vector similarity.
 
-    ``backend`` selects the retrieval implementation; ``None`` uses a
-    :class:`~repro.retrieval.dense.DenseTopK` with ``dtype=None`` so scores
-    stay in the input (float64) precision of the reference implementation.
+    ``query_matrix`` / ``candidate_matrix`` hold one row per id of
+    ``query_ids`` / ``candidate_ids``.  ``backend`` selects the retrieval
+    implementation; ``None`` uses a :class:`~repro.retrieval.dense.DenseTopK`
+    with ``dtype=None`` so scores stay in float64, the precision of the
+    reference implementation.
     """
 
     def __init__(
         self,
-        query_vectors: Mapping[str, np.ndarray],
-        candidate_vectors: Mapping[str, np.ndarray],
+        query_ids: Sequence[str],
+        query_matrix: np.ndarray,
+        candidate_ids: Sequence[str],
+        candidate_matrix: np.ndarray,
         backend: Optional[RetrievalBackend] = None,
     ):
-        if not query_vectors:
-            raise ValueError("query_vectors is empty")
-        if not candidate_vectors:
-            raise ValueError("candidate_vectors is empty")
-        self.query_ids: List[str] = list(query_vectors)
-        self.candidate_ids: List[str] = list(candidate_vectors)
-        dims = {v.shape[0] for v in query_vectors.values()} | {
-            v.shape[0] for v in candidate_vectors.values()
-        }
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent vector dimensionalities: {sorted(dims)}")
-        self._dim = dims.pop()
-        self._query_matrix = _matrix_from_vectors(self.query_ids, query_vectors, self._dim)
-        self._candidate_matrix = _matrix_from_vectors(self.candidate_ids, candidate_vectors, self._dim)
+        self.query_ids: List[str] = list(query_ids)
+        self.candidate_ids: List[str] = list(candidate_ids)
+        self._query_matrix = np.asarray(query_matrix, dtype=np.float64)
+        self._candidate_matrix = np.asarray(candidate_matrix, dtype=np.float64)
+        for side, ids, matrix in (
+            ("query", self.query_ids, self._query_matrix),
+            ("candidate", self.candidate_ids, self._candidate_matrix),
+        ):
+            if not ids:
+                raise ValueError(f"{side} side is empty")
+            if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+                raise ValueError(
+                    f"{side}_matrix must be 2-D with one row per id, "
+                    f"got shape {matrix.shape} for {len(ids)} ids"
+                )
+        dims = (self._query_matrix.shape[1], self._candidate_matrix.shape[1])
+        if dims[0] != dims[1]:
+            raise ValueError(f"inconsistent vector dimensionalities: {list(dims)}")
         self.backend: RetrievalBackend = backend if backend is not None else DenseTopK(dtype=None)
         self._scores: Optional[np.ndarray] = None
-        self._last_stats: Optional[RetrievalStats] = None
 
     # ------------------------------------------------------------------
-    @property
-    def retrieval_stats(self) -> Optional[RetrievalStats]:
-        """Stats of the last backend-routed :meth:`match` call."""
-        return self._last_stats
-
     def score_matrix(self) -> np.ndarray:
         """Cosine similarity matrix (queries × candidates), cached.
 
@@ -95,40 +80,18 @@ class MetadataMatcher:
     ) -> Tuple[RankingSet, RetrievalStats]:
         """Top-k ranking per query plus the backend's work statistics."""
         backend = backend if backend is not None else self.backend
-        # A full-precision dense pass over an already-cached score matrix
-        # (e.g. a second match() after match_combined) reuses the cache
-        # instead of repeating the matmul; the top-k outcome is identical.
-        if (
-            self._scores is not None
-            and isinstance(backend, DenseTopK)
-            and backend.dtype is None
-        ):
-            result = backend.retrieve_from_scores(self._scores, k)
-        else:
-            result = backend.retrieve(
-                self._query_matrix,
-                self._candidate_matrix,
-                k,
-                query_ids=self.query_ids,
-                candidate_ids=self.candidate_ids,
-            )
-        self._last_stats = result.stats
+        result = backend.retrieve(
+            self._query_matrix,
+            self._candidate_matrix,
+            k,
+            query_ids=self.query_ids,
+            candidate_ids=self.candidate_ids,
+        )
         return result.to_rankings(self.query_ids, self.candidate_ids), result.stats
 
-    def match(self, k: int = 20, scores: Optional[np.ndarray] = None) -> RankingSet:
-        """Top-k ranking per query; ``scores`` overrides the cosine matrix."""
-        if scores is None:
-            rankings, _stats = self.match_with_stats(k=k)
-            return rankings
-        if scores.shape != (len(self.query_ids), len(self.candidate_ids)):
-            raise ValueError("score matrix shape does not match query/candidate ids")
-        neighbors = top_k_neighbors(scores, k, self.candidate_ids)
-        rankings = RankingSet()
-        for query_id, ranked in zip(self.query_ids, neighbors):
-            ranking = Ranking(query_id=query_id)
-            for candidate_id, score in ranked:
-                ranking.add(candidate_id, score)
-            rankings.add(ranking)
+    def match(self, k: int = 20) -> RankingSet:
+        """Top-k ranking per query through the matcher's backend."""
+        rankings, _stats = self.match_with_stats(k=k)
         return rankings
 
     def match_combined(
@@ -142,5 +105,4 @@ class MetadataMatcher:
             raise ValueError("score matrix shape does not match query/candidate ids")
         combined = CombinedTopK(weights=weights)
         result = combined.retrieve_from_scores([self.score_matrix(), other_scores], k=k)
-        self._last_stats = result.stats
         return result.to_rankings(self.query_ids, self.candidate_ids)

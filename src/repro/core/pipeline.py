@@ -24,10 +24,11 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.blocking import GraphQueryBlocker, MetadataNeighborhoodBlocking
 from repro.core.config import TDMatchConfig
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.matcher import MetadataMatcher
@@ -335,25 +336,41 @@ class TDMatch:
     def model(self) -> Word2Vec:
         return self.state.model
 
-    def metadata_vectors(self, side: str = "first") -> Dict[str, np.ndarray]:
-        """Learned vectors of the metadata nodes of one corpus.
-
-        Metadata nodes that fell out of the walk vocabulary (isolated nodes)
-        get a zero vector so every document still receives a ranking.
-        """
-        state = self.state
+    def _metadata_labels(self, side: str) -> Dict[str, str]:
+        """Object id → metadata-node label for one corpus."""
         if side == "first":
-            mapping = state.built.first_metadata
-        elif side == "second":
-            mapping = state.built.second_metadata
-        else:
-            raise ValueError("side must be 'first' or 'second'")
-        dim = self.config.word2vec.vector_size
-        vectors: Dict[str, np.ndarray] = {}
-        for object_id, label in mapping.items():
-            vec = state.model.vector(label)
-            vectors[object_id] = vec if vec is not None else np.zeros(dim)
-        return vectors
+            return self.state.built.first_metadata
+        if side == "second":
+            return self.state.built.second_metadata
+        raise ValueError("side must be 'first' or 'second'")
+
+    def _metadata_matrix(self, side: str) -> Tuple[List[str], np.ndarray]:
+        """Ids and float64 vectors of one corpus's metadata nodes, row-aligned.
+
+        All rows are taken from the model's embedding matrix in one gather.
+        Metadata nodes that fell out of the walk vocabulary (isolated nodes)
+        get a zero row so every document still receives a ranking.
+        """
+        labels = self._metadata_labels(side)
+        model = self.state.model
+        embeddings = model.embedding_matrix()
+        id_of = model.vocab.id_of
+        rows = np.array(
+            [-1 if row is None else row for row in map(id_of, labels.values())],
+            dtype=np.intp,
+        )
+        matrix = embeddings[rows].astype(np.float64)
+        matrix[rows < 0] = 0.0
+        return list(labels), matrix
+
+    def metadata_vectors(self, side: str = "first") -> Dict[str, np.ndarray]:
+        """Learned vectors of the metadata nodes of one corpus, by object id.
+
+        Out-of-vocabulary metadata nodes get a zero vector, as in
+        :meth:`matcher`.
+        """
+        ids, matrix = self._metadata_matrix(side)
+        return dict(zip(ids, matrix))
 
     # ------------------------------------------------------------------
     # Matching
@@ -362,57 +379,42 @@ class TDMatch:
         if query_side not in ("first", "second"):
             raise ValueError("query_side must be 'first' or 'second'")
         candidate_side = "second" if query_side == "first" else "first"
-        return MetadataMatcher(
-            query_vectors=self.metadata_vectors(query_side),
-            candidate_vectors=self.metadata_vectors(candidate_side),
-        )
+        query_ids, query_matrix = self._metadata_matrix(query_side)
+        candidate_ids, candidate_matrix = self._metadata_matrix(candidate_side)
+        return MetadataMatcher(query_ids, query_matrix, candidate_ids, candidate_matrix)
 
     def _retrieval_dtype(self):
         return np.float32 if self.config.retrieval.dtype == "float32" else None
 
     def _graph_query_blocker(self, query_side: str) -> QueryBlocker:
         """Graph-native blocker over the fitted match graph."""
-        # Imported here: repro.core.blocking imports this module's sibling
-        # matcher, keeping the blocker classes out of pipeline import time.
-        from repro.core.blocking import GraphQueryBlocker, MetadataNeighborhoodBlocking
-
         cfg = self.config.retrieval
-        built = self.state.built
-        query_labels = built.first_metadata if query_side == "first" else built.second_metadata
-        candidate_labels = built.second_metadata if query_side == "first" else built.first_metadata
+        candidate_side = "second" if query_side == "first" else "first"
         blocking = MetadataNeighborhoodBlocking(
             self.graph, max_hops=cfg.max_hops, max_block_size=cfg.max_block_size
         )
-        return GraphQueryBlocker(blocking, query_labels, candidate_labels)
+        return GraphQueryBlocker(
+            blocking, self._metadata_labels(query_side), self._metadata_labels(candidate_side)
+        )
 
     def retrieval_backend(
         self, query_side: str = "first", blocker: Optional[QueryBlocker] = None
     ) -> RetrievalBackend:
         """The retrieval backend selected by ``config.retrieval``.
 
-        An explicit ``blocker`` forces the blocked backend; otherwise the
-        "blocked" backend with "neighborhood" blocking builds the
-        graph-native blocker from the fitted match graph, and "token"
-        blocking must be supplied as a ready-made blocker (it needs the
-        corpus texts, which the fitted pipeline does not retain).
+        An explicit ``blocker`` (for example a
+        :class:`~repro.core.blocking.TextQueryBlocker` over token blocking,
+        which needs the corpus texts the fitted pipeline does not retain)
+        forces the blocked backend.  Otherwise the "blocked" backend builds
+        the graph-native neighbourhood blocker from the fitted match graph.
         """
         cfg = self.config.retrieval
         dtype = self._retrieval_dtype()
+        if blocker is None and cfg.backend == "blocked":
+            blocker = self._graph_query_blocker(query_side)
         if blocker is not None:
             return BlockedTopK(
                 blocker,
-                fallback_to_full=cfg.fallback_to_full,
-                dtype=dtype,
-                chunk_size=cfg.chunk_size,
-            )
-        if cfg.backend == "blocked":
-            if cfg.blocking == "token":
-                raise PipelineError(
-                    "token blocking needs the corpus texts; build a TokenBlocking + "
-                    "TextQueryBlocker and pass it via match(blocker=...)"
-                )
-            return BlockedTopK(
-                self._graph_query_blocker(query_side),
                 fallback_to_full=cfg.fallback_to_full,
                 dtype=dtype,
                 chunk_size=cfg.chunk_size,

@@ -10,9 +10,8 @@ top-k out):
   :class:`~repro.retrieval.base.QueryBlocker` admits (the paper
   conclusion's blocking future work, actually skipping the work).
 
-A third backend operates at score level (``retrieve_from_scores``, shared
-with ``DenseTopK``) because its inputs are precomputed score matrices, not
-embeddings:
+A third backend operates at score level (``retrieve_from_scores``) because
+its inputs are precomputed score matrices, not embeddings:
 
 * :class:`~repro.retrieval.combined.CombinedTopK` — weighted fusion of
   several score matrices (Figure 10's W-RW & S-BE combination).

@@ -2,7 +2,7 @@
 
 The paper's matching step ranks, for every query object, the candidate
 objects of the other corpus by cosine similarity of their metadata-node
-vectors.  Everything downstream (the pipeline, the blocked matcher, the
+vectors.  Everything downstream (the pipeline, the matcher, the
 benchmark harness) only needs *top-k neighbours per query* plus provenance
 about how much work was done — that contract is what this module pins down,
 so dense scoring, blocking, score fusion, and future ANN/sharded backends

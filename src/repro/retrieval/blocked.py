@@ -2,11 +2,10 @@
 
 The paper names blocking as the route to scaling the matching step: a cheap
 blocking pass restricts each query to a small candidate block, and only
-those pairs are scored with the embeddings.  :class:`BlockedTopK` actually
-realises that saving — unlike the historical ``BlockedMatcher.match``,
-which computed the full all-pairs score matrix *before* filtering (so
-blocking saved zero FLOPs), it scores just the blocked candidate rows via
-index gather (``candidates[block_idx] @ queries.T``).
+those pairs are scored with the embeddings.  :class:`BlockedTopK` realises
+that saving: it never computes the all-pairs score matrix, and scores just
+the blocked candidate rows via index gather
+(``candidates[block_idx] @ queries.T``).
 ``stats.scored_pairs`` is therefore an exact count of the similarity
 computations performed, and the companion benchmark in
 ``benchmarks/bench_fig8_scaling.py`` shows the wall-clock win tracking the
@@ -71,6 +70,11 @@ class BlockedTopK:
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if not isinstance(blocker, QueryBlocker):
+            raise TypeError(
+                f"{type(blocker).__name__} has no block_for(query_id); wrap a TokenBlocking "
+                "in TextQueryBlocker or a MetadataNeighborhoodBlocking in GraphQueryBlocker"
+            )
         self.blocker = blocker
         self.fallback_to_full = fallback_to_full
         self.dtype = dtype

@@ -5,12 +5,11 @@ domain-specific graph embeddings (W-RW) with those of a frozen pre-trained
 sentence encoder (S-BE); each score matrix is min-max normalised per query
 row first so methods with different scales contribute equally.
 
-:func:`minmax_normalize_rows` / :func:`combine_scores` are the vectorised
-replacements for the historical row-by-row Python loop in
-``repro.core.matcher.combine_score_matrices`` (which now delegates here).
-Constant rows — every candidate scored identically, so the row carries no
-ranking signal — contribute exactly 0 to the fused matrix, matching the
-reference behaviour.  :class:`CombinedTopK` fuses any number of score
+:func:`minmax_normalize_rows` / :func:`combine_scores` normalise and fuse
+whole matrices at once (no per-row Python loop).  Constant rows — every
+candidate scored identically, so the row carries no ranking signal —
+contribute exactly 0 to the fused matrix, matching the reference
+behaviour.  :class:`CombinedTopK` fuses any number of score
 matrices and reduces the result to top-k in one pass.
 """
 
@@ -41,7 +40,11 @@ def minmax_normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def combine_scores(
     matrices: Sequence[np.ndarray], weights: Optional[Sequence[float]] = None
 ) -> np.ndarray:
-    """Weighted average of per-row min-max normalised score matrices."""
+    """Weighted average of per-row min-max normalised score matrices.
+
+    Every weight must be finite and >= 0, and their sum > 0; anything else
+    would turn the average into NaN or ±inf.
+    """
     if not len(matrices):
         raise ValueError("at least one score matrix is required")
     shape = matrices[0].shape
@@ -52,6 +55,9 @@ def combine_scores(
         weights = [1.0] * len(matrices)
     if len(weights) != len(matrices):
         raise ValueError("weights must match the number of matrices")
+    weight_array = np.asarray(weights, dtype=float)
+    if not np.isfinite(weight_array).all() or (weight_array < 0).any() or weight_array.sum() <= 0:
+        raise ValueError(f"weights must be finite and >= 0 with a positive sum, got {weights}")
     total = np.zeros(shape, dtype=float)
     for matrix, weight in zip(matrices, weights):
         total += weight * minmax_normalize_rows(matrix)

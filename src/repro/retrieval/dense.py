@@ -49,28 +49,6 @@ class DenseTopK:
         self.chunk_size = chunk_size
         self.dtype = dtype
 
-    def retrieve_from_scores(self, scores: np.ndarray, k: int) -> RetrievalResult:
-        """Top-k over an already-computed score matrix (no matmul).
-
-        Same ranking contract as :meth:`retrieve`; used by callers that
-        cache their score matrix (e.g. ``MetadataMatcher``).
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        top = argtopk(scores, k)
-        n_queries, n_candidates = scores.shape
-        stats = RetrievalStats(
-            backend=self.name,
-            n_queries=n_queries,
-            n_candidates=n_candidates,
-            scored_pairs=n_queries * n_candidates,
-        )
-        return RetrievalResult(
-            indices=list(top),
-            scores=list(np.take_along_axis(scores, top, axis=1)),
-            stats=stats,
-        )
-
     def retrieve(
         self,
         query_matrix: np.ndarray,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.blocking import (
-    BlockedMatcher,
     MetadataNeighborhoodBlocking,
+    TextQueryBlocker,
     TokenBlocking,
 )
 from repro.core.downstream import EmbeddingPairClassifier, pair_features
@@ -17,6 +17,7 @@ from repro.embeddings.graph_factorization import (
 )
 from repro.embeddings.similarity import cosine_similarity
 from repro.graph.graph import MatchGraph, NodeKind
+from repro.retrieval import BlockedTopK
 from repro import cli
 
 
@@ -46,6 +47,16 @@ class TestTokenBlocking:
         blocker = TokenBlocking(max_block_size=1).fit(candidates)
         block = blocker.block("directed directed directed")
         assert len(block) <= 1
+
+    def test_max_block_size_keeps_the_top_ranked(self):
+        blocker = TokenBlocking(max_block_size=2).fit({"a": "red", "b": "red", "c": "red"})
+        assert blocker.block("red") == ["a", "b"]
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_max_block_size_rejected(self, size):
+        # -1 used to drop the last-ranked candidate, 0 to empty every block.
+        with pytest.raises(ValueError, match="max_block_size"):
+            TokenBlocking(max_block_size=size)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -83,37 +94,44 @@ class TestMetadataNeighborhoodBlocking:
         with pytest.raises(ValueError):
             MetadataNeighborhoodBlocking(MatchGraph(), max_hops=0)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_non_positive_max_block_size_rejected(self, size):
+        with pytest.raises(ValueError, match="max_block_size"):
+            MetadataNeighborhoodBlocking(MatchGraph(), max_block_size=size)
+
 
 class TestBlockedMatcher:
+    """Token-blocked matching: a TextQueryBlocker through BlockedTopK."""
+
     @pytest.fixture()
     def setup(self):
-        queries = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
-        candidates = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]), "c": np.array([0.5, 0.5])}
-        matcher = MetadataMatcher(queries, candidates)
+        matcher = MetadataMatcher(
+            ["q1", "q2"], np.array([[1.0, 0.0], [0.0, 1.0]]),
+            ["a", "b", "c"], np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+        )
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
-        blocker = TokenBlocking().fit(texts)
-        return matcher, blocker, query_texts
+        blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)
+        return matcher, blocker
 
     def test_blocked_match_restricts_candidates(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        rankings = blocked.match(k=3)
+        matcher, blocker = setup
+        backend = BlockedTopK(blocker, fallback_to_full=False)
+        rankings, _stats = matcher.match_with_stats(k=3, backend=backend)
         assert rankings["q1"].ids() == ["a"]
         assert rankings["q2"].ids() == []  # empty block, no fallback
 
     def test_fallback_to_full_ranking(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=True)
-        rankings = blocked.match(k=3)
+        matcher, blocker = setup
+        backend = BlockedTopK(blocker, fallback_to_full=True)
+        rankings, _stats = matcher.match_with_stats(k=3, backend=backend)
         assert len(rankings["q2"]) == 3
 
     def test_statistics_reduction(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        blocked.match(k=3)
-        stats = blocked.statistics
-        assert stats.compared_pairs < stats.all_pairs
+        matcher, blocker = setup
+        backend = BlockedTopK(blocker, fallback_to_full=False)
+        _rankings, stats = matcher.match_with_stats(k=3, backend=backend)
+        assert stats.scored_pairs < stats.all_pairs
         assert 0.0 < stats.reduction_ratio <= 1.0
         assert stats.empty_blocks == 1
 

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.blocking import (
-    BlockedMatcher,
+    GraphQueryBlocker,
     MetadataNeighborhoodBlocking,
     TextQueryBlocker,
     TokenBlocking,
 )
 from repro.core.config import RetrievalConfig, TDMatchConfig
-from repro.core.exceptions import PipelineError
-from repro.core.matcher import MetadataMatcher, combine_score_matrices
+from repro.core.matcher import MetadataMatcher
 from repro.core.pipeline import TDMatch
+from repro.corpus.documents import TextCorpus
 from repro.datasets import ScenarioSize, generate_scenario
 from repro.embeddings.similarity import argtopk, cosine_matrix, top_k_neighbors
 from repro.graph.graph import MatchGraph, NodeKind
@@ -69,6 +69,14 @@ class DictBlocker:
 
 def ids(n, prefix):
     return [f"{prefix}{i}" for i in range(n)]
+
+
+def matcher_from(queries, candidates):
+    """A MetadataMatcher over per-id vector dicts (one row per id)."""
+    return MetadataMatcher(
+        list(queries), np.array(list(queries.values())),
+        list(candidates), np.array(list(candidates.values())),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +306,11 @@ class TestCombine:
         np.testing.assert_allclose(combined, minmax_normalize_rows(varying) / 2.0)
         np.testing.assert_allclose(minmax_normalize_rows(constant), 0.0)
 
-    def test_combine_score_matrices_delegates(self):
-        m = np.array([[0.1, 0.9]])
-        np.testing.assert_allclose(combine_score_matrices([m, m]), [[0.0, 1.0]])
-
     def test_combined_topk_matches_match_combined(self):
         rng = np.random.default_rng(3)
         queries = {f"q{i}": rng.normal(size=4) for i in range(5)}
         candidates = {f"c{i}": rng.normal(size=4) for i in range(8)}
-        matcher = MetadataMatcher(queries, candidates)
+        matcher = matcher_from(queries, candidates)
         other = rng.uniform(size=(5, 8))
         via_matcher = matcher.match_combined(other, k=4)
         result = CombinedTopK().retrieve_from_scores([matcher.score_matrix(), other], k=4)
@@ -327,9 +331,29 @@ class TestCombine:
         with pytest.raises(ValueError):
             CombinedTopK().retrieve_from_scores([np.zeros((1, 2))], k=0)
 
+    @pytest.mark.parametrize(
+        "weights", [[0.0, 0.0], [1.0, -1.0], [1.0, float("nan")], [1.0, float("inf")]]
+    )
+    def test_weights_that_break_the_average_are_rejected(self, weights):
+        # [0, 0] used to return an all-NaN matrix and [1, -1] one of ±inf.
+        matrices = [np.array([[0.1, 0.9]]), np.array([[0.9, 0.1]])]
+        with pytest.raises(ValueError, match="weights"):
+            combine_scores(matrices, weights=weights)
+        with pytest.raises(ValueError, match="weights"):
+            CombinedTopK(weights=weights).retrieve_from_scores(matrices, k=1)
+        matcher = matcher_from({"q": np.ones(2)}, {"a": np.ones(2), "b": -np.ones(2)})
+        with pytest.raises(ValueError, match="weights"):
+            matcher.match_combined(matrices[0], k=1, weights=weights)
+
+    def test_zero_weight_on_one_matrix_is_allowed(self):
+        a, b = np.array([[0.1, 0.9]]), np.array([[0.9, 0.1]])
+        np.testing.assert_array_equal(combine_scores([a, b], weights=[1.0, 0.0]), [[0.0, 1.0]])
+
 
 # ----------------------------------------------------------------------
 class TestBlockedMatcherRegression:
+    """Blocked matching through ``match_with_stats(backend=BlockedTopK(...))``."""
+
     @pytest.fixture()
     def setup(self):
         queries = {"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
@@ -338,36 +362,34 @@ class TestBlockedMatcherRegression:
             "b": np.array([0.0, 1.0]),
             "c": np.array([0.5, 0.5]),
         }
-        matcher = MetadataMatcher(queries, candidates)
+        matcher = matcher_from(queries, candidates)
         texts = {"a": "storm thriller", "b": "empire drama", "c": "moon comedy"}
         query_texts = {"q1": "a storm thriller tonight", "q2": "zzz nothing shared"}
-        blocker = TokenBlocking().fit(texts)
-        return matcher, blocker, query_texts
+        blocker = TextQueryBlocker(TokenBlocking().fit(texts), query_texts)
+        return matcher, blocker
 
     def test_full_score_matrix_never_computed(self, setup, monkeypatch):
-        """The blocking-saves-nothing bug: match() must not touch score_matrix."""
-        matcher, blocker, query_texts = setup
+        """The blocking-saves-nothing bug: a blocked match must not touch score_matrix."""
+        matcher, blocker = setup
 
         def boom(self):
             raise AssertionError("score_matrix() computed during blocked match")
 
         monkeypatch.setattr(MetadataMatcher, "score_matrix", boom)
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=True)
-        rankings = blocked.match(k=3)
+        backend = BlockedTopK(blocker, fallback_to_full=True)
+        rankings, _stats = matcher.match_with_stats(k=3, backend=backend)
         assert len(rankings) == 2
 
     def test_compared_pairs_equals_scored_pairs(self, setup):
-        matcher, blocker, query_texts = setup
-        blocked = BlockedMatcher(matcher, blocker, query_texts, fallback_to_full=False)
-        blocked.match(k=3)
-        stats = blocked.statistics
+        matcher, blocker = setup
+        backend = BlockedTopK(blocker, fallback_to_full=False)
+        _rankings, stats = matcher.match_with_stats(k=3, backend=backend)
         # q1 blocks to {a}; q2 blocks to nothing and does not fall back.
-        assert stats.compared_pairs == 1
-        assert stats.compared_pairs == matcher.retrieval_stats.scored_pairs
+        assert stats.scored_pairs == 1
         assert stats.empty_blocks == 1
 
     def test_neighborhood_blocking_pluggable(self):
-        """MetadataNeighborhoodBlocking now works through BlockedMatcher."""
+        """MetadataNeighborhoodBlocking works through GraphQueryBlocker."""
         g = MatchGraph()
         g.add_node("doc::q", kind=NodeKind.METADATA)
         g.add_node("row::a", kind=NodeKind.METADATA)
@@ -378,29 +400,28 @@ class TestBlockedMatcherRegression:
         g.add_edge("row::a", "shared")
         g.add_edge("row::b", "other")
         matcher = MetadataMatcher(
-            {"q": np.array([1.0, 0.0])},
-            {"a": np.array([1.0, 0.1]), "b": np.array([0.9, 0.0])},
+            ["q"], np.array([[1.0, 0.0]]), ["a", "b"], np.array([[1.0, 0.1], [0.9, 0.0]])
         )
-        blocked = BlockedMatcher(
-            matcher,
+        blocker = GraphQueryBlocker(
             MetadataNeighborhoodBlocking(g, max_hops=2),
-            fallback_to_full=False,
             query_labels={"q": "doc::q"},
             candidate_labels={"a": "row::a", "b": "row::b"},
         )
-        rankings = blocked.match(k=2)
+        backend = BlockedTopK(blocker, fallback_to_full=False)
+        rankings, stats = matcher.match_with_stats(k=2, backend=backend)
         assert rankings["q"].ids() == ["a"]  # b is outside the 2-hop block
-        assert blocked.statistics.compared_pairs == 1
+        assert stats.scored_pairs == 1
 
-    def test_token_blocking_requires_texts(self, setup):
-        matcher, blocker, _ = setup
-        with pytest.raises(ValueError):
-            BlockedMatcher(matcher, blocker)
+    def test_token_blocking_requires_texts(self):
+        """A bare TokenBlocking has no per-query texts: wrap it in TextQueryBlocker."""
+        blocking = TokenBlocking().fit({"a": "storm"})
+        with pytest.raises(TypeError, match="TextQueryBlocker"):
+            BlockedTopK(blocking)
 
     def test_neighborhood_blocking_requires_labels(self):
-        matcher = MetadataMatcher({"q": np.zeros(2)}, {"a": np.zeros(2)})
-        with pytest.raises(ValueError):
-            BlockedMatcher(matcher, MetadataNeighborhoodBlocking(MatchGraph(), max_hops=1))
+        """A bare MetadataNeighborhoodBlocking has no id → label maps."""
+        with pytest.raises(TypeError, match="GraphQueryBlocker"):
+            BlockedTopK(MetadataNeighborhoodBlocking(MatchGraph(), max_hops=1))
 
 
 # ----------------------------------------------------------------------
@@ -439,12 +460,12 @@ class TestBackendScenarioParity:
             assert combined[qid].ids() == ref_ids[qid]
 
     def test_match_reuses_cached_score_matrix(self, fitted_pipeline):
-        """A second match() after score_matrix() must not change results."""
+        """A match() after score_matrix() must not change results."""
         _scenario, pipeline = fitted_pipeline
         matcher = pipeline.matcher()
-        before = matcher.match(k=5)  # uncached: chunked backend path
+        before = matcher.match(k=5)
         matcher.score_matrix()
-        after = matcher.match(k=5)  # cached: argtopk over the cache
+        after = matcher.match(k=5)
         for qid in matcher.query_ids:
             assert before[qid].ids() == after[qid].ids()
             assert [s for _, s in before[qid].candidates] == pytest.approx(
@@ -484,16 +505,84 @@ class TestBackendScenarioParity:
         assert result.retrieval.backend == "blocked"
         assert len(result.rankings) == len(pipeline.matcher().query_ids)
 
-    def test_pipeline_token_blocking_without_blocker_raises(self, fitted_pipeline):
-        _scenario, pipeline = fitted_pipeline
-        pipeline.config.retrieval.backend = "blocked"
-        pipeline.config.retrieval.blocking = "token"
+
+# ----------------------------------------------------------------------
+# Parity of the matrix query path with the per-id dict path it replaced.
+def _side_vectors(pipeline, side):
+    """The old per-id path: ``model.vector(label)`` or zeros, stacked to float64."""
+    built = pipeline.state.built
+    labels = built.first_metadata if side == "first" else built.second_metadata
+    dim = pipeline.config.word2vec.vector_size
+    matrix = np.zeros((len(labels), dim), dtype=float)
+    for row, label in enumerate(labels.values()):
+        vector = pipeline.model.vector(label)
+        if vector is not None:
+            matrix[row] = vector
+    return list(labels), labels, matrix
+
+
+def oracle_rankings(pipeline, query_side, k, blocked):
+    candidate_side = "second" if query_side == "first" else "first"
+    query_ids, query_labels, query_matrix = _side_vectors(pipeline, query_side)
+    candidate_ids, candidate_labels, candidate_matrix = _side_vectors(pipeline, candidate_side)
+    if blocked:
+        blocking = MetadataNeighborhoodBlocking(pipeline.graph, max_hops=2)
+        backend = BlockedTopK(GraphQueryBlocker(blocking, query_labels, candidate_labels))
+    else:
+        backend = DenseTopK(dtype=None)
+    result = backend.retrieve(
+        query_matrix, candidate_matrix, k, query_ids=query_ids, candidate_ids=candidate_ids
+    )
+    return result.to_rankings(query_ids, candidate_ids)
+
+
+def _pairs(rankings):
+    return {ranking.query_id: list(ranking.candidates) for ranking in rankings}
+
+
+@pytest.fixture(scope="module")
+def parity_pipelines(tmp_path_factory):
+    """A fresh fit, its mmap-loaded index, and a copy after add_documents + remove."""
+    scenario = generate_scenario("imdb_wt", size=ScenarioSize.tiny(), seed=5)
+    config = TDMatchConfig.fast(walks__num_walks=4, walks__walk_length=8, word2vec__epochs=1)
+    docs = list(scenario.first)
+    reduced = TextCorpus(docs[2:], name=scenario.first.name)
+    fresh = TDMatch(config, seed=5).fit(reduced, scenario.second)
+    path = str(tmp_path_factory.mktemp("parity") / "index.tdm")
+    fresh.save(path)
+    delta = TDMatch.load(path, mmap=False)
+    delta.add_documents(docs[:2], side="first")
+    delta.remove([next(iter(delta.state.built.second_metadata))], side="second")
+    return {"fresh": fresh, "mmap": TDMatch.load(path, mmap=True), "delta": delta}
+
+
+class TestMatrixPathParity:
+    @pytest.mark.parametrize("state", ["fresh", "mmap", "delta"])
+    @pytest.mark.parametrize("blocked", [False, True], ids=["dense", "blocked"])
+    @pytest.mark.parametrize("query_side", ["first", "second"])
+    def test_match_result_equals_per_id_path(self, parity_pipelines, state, blocked, query_side):
+        pipeline = parity_pipelines[state]
+        pipeline.config.retrieval.backend = "blocked" if blocked else "dense"
         try:
-            with pytest.raises(PipelineError):
-                pipeline.match(k=5)
+            result = pipeline.match_result(k=5, query_side=query_side)
         finally:
             pipeline.config.retrieval.backend = "dense"
-            pipeline.config.retrieval.blocking = "neighborhood"
+        expected = oracle_rankings(pipeline, query_side, 5, blocked)
+        assert _pairs(result.rankings) == _pairs(expected)
+
+    def test_out_of_vocabulary_id_gets_a_zero_row(self, parity_pipelines):
+        pipeline = parity_pipelines["fresh"]
+        labels = pipeline.state.built.first_metadata
+        labels["ghost"] = "doc::not-in-the-vocabulary"
+        try:
+            vectors = pipeline.metadata_vectors("first")
+            result = pipeline.match_result(k=5)
+            expected = oracle_rankings(pipeline, "first", 5, blocked=False)
+        finally:
+            del labels["ghost"]
+        assert not vectors["ghost"].any()
+        assert len(result.rankings["ghost"]) == 5
+        assert _pairs(result.rankings) == _pairs(expected)
 
 
 # ----------------------------------------------------------------------
@@ -511,9 +600,12 @@ class TestRetrievalConfig:
         with pytest.raises(ValueError):
             RetrievalConfig(dtype="float16")
         with pytest.raises(ValueError):
-            RetrievalConfig(blocking="lsh")
-        with pytest.raises(ValueError):
             RetrievalConfig(max_hops=0)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_non_positive_max_block_size_rejected(self, size):
+        with pytest.raises(ValueError, match="max_block_size"):
+            RetrievalConfig(max_block_size=size)
 
     def test_override_syntax(self):
         config = TDMatchConfig.fast(retrieval__backend="blocked", retrieval__chunk_size=64)
@@ -542,3 +634,13 @@ class TestCliRetrievalFlags:
         assert cli.main(self.ARGS + ["--retrieval-backend", "blocked", "--blocking", "token"]) == 0
         out = capsys.readouterr().out
         assert "backend=blocked" in out
+
+    def test_fit_save_refuses_token_blocking(self, tmp_path, capsys):
+        # A saved index keeps no corpus texts to rebuild a token blocker from.
+        index = str(tmp_path / "index.tdm")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit-save", "--index", index, "--blocking", "token",
+                      "--scenario", "corona_gen", "--size", "tiny"])
+        assert exc.value.code == 2
+        assert "--blocking token" in capsys.readouterr().err
+        assert not (tmp_path / "index.tdm").exists()

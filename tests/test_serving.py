@@ -23,7 +23,7 @@ from repro.serving import (
     IndexFormatError,
     LazyBuiltGraph,
 )
-from repro.serving.index import read_index, write_index
+from repro.serving.index import config_from_dict, config_to_dict, read_index, write_index
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -299,6 +299,22 @@ class TestSaveLoadRoundtrip:
         assert loaded.config.builder.filter_strategy_name == (
             fitted.config.builder.filter_strategy_name
         )
+
+    def test_snapshot_with_retired_blocking_field_still_loads(self, index_path, fitted):
+        # Indexes written while RetrievalConfig still had a ``blocking``
+        # field restore unchanged: unknown keys are skipped.
+        snapshot = config_to_dict(fitted.config)
+        snapshot["retrieval"]["blocking"] = "token"
+        assert config_to_dict(config_from_dict(snapshot)) == config_to_dict(fitted.config)
+
+        def add_blocking(header):
+            header["config"]["retrieval"]["blocking"] = "token"
+
+        _rewrite_header(index_path, add_blocking)
+        loaded = TDMatch.load(index_path, verify="full")
+        assert config_to_dict(loaded.config) == config_to_dict(fitted.config)
+        expected = fitted.match_result(k=10).to_dict()["rankings"]
+        assert loaded.match_result(k=10).to_dict()["rankings"] == expected
 
     def test_query_in_fresh_subprocess_without_fit(self, index_path, fitted):
         """The two-process story: fit-save here, load-query in a new process."""
