@@ -25,7 +25,7 @@ def _build_series():
                 {
                     "scenario": scenario_name,
                     "walk_length": length,
-                    "engine": run.pipeline.timings.note("walk_engine"),
+                    "engine": run.pipeline.report()["walks"]["engine"],
                     "MAP@5": round(run.report.map_at[5], 3),
                     "MRR": round(run.report.mrr, 3),
                 }

@@ -12,7 +12,7 @@ asserts the incremental path:
 2. applies the delta at least ``SPEEDUP_FLOOR``× faster than the refit.
 
 Telemetry lands in ``benchmarks/results/BENCH_incremental_serving.json``
-(scenario size, per-stage seconds, engine notes, measured-vs-floor
+(scenario size, per-stage seconds, the engines that ran, measured-vs-floor
 speedups) for CI artifact archiving.
 """
 

@@ -98,10 +98,10 @@ def test_parallel_fit_speedup():
     assert _rankings(pooled) == _rankings(one_worker)
 
     # The parallel layer actually engaged; walks stay on the serial engine.
-    assert pooled.timings.note("walk_engine") == "csr"
-    assert pooled.timings.note("num_workers") == str(NUM_WORKERS)
-    assert pooled.timings.note("parallel_shards") == str(NUM_WORKERS)
-    assert serial.timings.note("num_workers") == "0"
+    pooled_report = pooled.report()
+    assert pooled_report["walks"]["engine"] == "csr"
+    assert pooled_report["parallel"] == {"num_workers": NUM_WORKERS, "shards": NUM_WORKERS}
+    assert serial.report()["parallel"] == {"num_workers": 0}
 
     speedup = serial_s / max(pooled_s, 1e-9)
     floor = 2.5 if NUM_WORKERS >= 4 else 1.1

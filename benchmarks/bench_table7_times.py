@@ -48,7 +48,7 @@ def _time_wrw(scenario_name: str):
     start = time.perf_counter()
     run.pipeline.match(k=20)
     test = (time.perf_counter() - start) / max(len(run.scenario.first), 1)
-    return train, test, run.pipeline.timings.note("walk_engine", "-")
+    return train, test, run.pipeline.report()["walks"]["engine"]
 
 
 def _time_sbert(scenario_name: str):
@@ -139,7 +139,6 @@ def test_table7_word2vec_trainer_speedup():
         stats[trainer] = model.stats
         registry.add(f"w2v_{trainer}", model.stats.seconds)
     speedup = registry.total("w2v_reference") / max(registry.total("w2v_vectorized"), 1e-9)
-    registry.set_note("w2v_speedup", f"{speedup:.1f}x")
 
     rows = [
         {
@@ -147,7 +146,7 @@ def test_table7_word2vec_trainer_speedup():
             "pairs": stats[trainer].pairs,
             "train_s": round(registry.total(f"w2v_{trainer}"), 3),
             "pairs_per_sec": round(stats[trainer].pairs_per_sec),
-            "speedup": registry.note("w2v_speedup") if trainer == "vectorized" else "1.0x",
+            "speedup": round(speedup, 1) if trainer == "vectorized" else 1.0,
         }
         for trainer in ("reference", "vectorized")
     ]
@@ -178,5 +177,5 @@ def test_table7_word2vec_trainer_speedup():
     run_ref = run_wrw("imdb_wt", w2v_trainer="reference")
     assert abs(run_vec.report.mrr - run_ref.report.mrr) <= 0.05
     assert abs(run_vec.report.map_at[5] - run_ref.report.map_at[5]) <= 0.05
-    assert run_vec.pipeline.timings.note("w2v_trainer") == "vectorized"
-    assert run_ref.pipeline.timings.note("w2v_trainer") == "reference"
+    assert run_vec.pipeline.report()["model"]["trainer"] == "vectorized"
+    assert run_ref.pipeline.report()["model"]["trainer"] == "reference"

@@ -175,4 +175,4 @@ def test_table8_compression_engine_speedup(benchmark):
         "imdb_wt", expansion=True, compression_method="msp",
         compression_ratio=BENCH_BETA, compression_engine="bulk",
     )
-    assert run.pipeline.timings.note("compression_engine", "?") == "bulk"
+    assert run.pipeline.report()["compression"]["engine"] == "bulk"

@@ -60,8 +60,9 @@ def write_result(name: str, text: str) -> str:
 def write_bench_json(name: str, payload: Dict[str, object]) -> str:
     """Persist machine-readable bench telemetry as ``BENCH_<name>.json``.
 
-    The payload should carry the scenario size, per-stage seconds, engine
-    notes, and measured-vs-floor speedups so CI can archive comparable
+    The payload should carry the scenario size, per-stage seconds, the
+    engines that ran (from ``TDMatch.report()``), and measured-vs-floor
+    speedups as floats so CI can archive comparable
     artifacts across runs.  A ``bench`` name, the scale, and the smoke flag
     are stamped automatically.
     """
@@ -107,7 +108,12 @@ def wrw_config(
     walk_engine: str = "csr",
     w2v_trainer: str = "vectorized",
 ) -> TDMatchConfig:
-    """The benchmark-scale W-RW configuration for a task type."""
+    """The benchmark-scale W-RW configuration for a task type.
+
+    Engine names are checked as ``--engine`` checks them, so a retired
+    name such as walks ``"python"`` fails here instead of running another
+    engine.
+    """
     if task == "text-to-data":
         config = TDMatchConfig.for_text_to_data()
     else:
@@ -116,10 +122,9 @@ def wrw_config(
         config.word2vec.window = min(15, walk_length)
     config.walks.num_walks = num_walks
     config.walks.walk_length = walk_length
-    config.walks.walk_engine = walk_engine
     config.word2vec.vector_size = vector_size
     config.word2vec.epochs = epochs
-    config.word2vec.trainer = w2v_trainer
+    config.set_engines({"walks": walk_engine, "word2vec": w2v_trainer})
     config.builder.preprocess.max_ngram = max_ngram
     return config
 

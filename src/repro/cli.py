@@ -80,8 +80,8 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
         type=_engine_assignment,
         default=[],
         metavar="STAGE=NAME",
-        help=f"select a stage's engine; repeatable. Every stage accepts 'reference' "
-        f"(walks also 'python'); defaults: {defaults}",
+        help=f"select a stage's engine; repeatable. Every stage accepts 'reference'; "
+        f"defaults: {defaults}",
     )
     parser.add_argument(
         "--retrieval-backend",
@@ -260,17 +260,17 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     pipeline = TDMatch(config, seed=args.seed)
     pipeline.fit(scenario.first, scenario.second)
+    fitted = pipeline.report()
     if not emit_json:
         print(
             f"\ngraph: {pipeline.graph.num_nodes()} nodes, {pipeline.graph.num_edges()} edges"
         )
-        if args.compression:
-            comp = pipeline.state.compression
-            comp_engine = pipeline.timings.note("compression_engine", "-")
+        comp = fitted.get("compression")
+        if comp is not None:
             print(
-                f"compression: {comp.method} engine={comp_engine} "
-                f"nodes {comp.nodes_before}->{comp.nodes_after} "
-                f"edges {comp.edges_before}->{comp.edges_after}"
+                f"compression: {comp['method']} engine={comp['engine'] or '-'} "
+                f"nodes {comp['nodes_before']}->{comp['nodes_after']} "
+                f"edges {comp['edges_before']}->{comp['edges_after']}"
             )
 
     # Token blocking needs the corpus texts, which the fitted pipeline does
@@ -312,9 +312,13 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for stage, seconds in pipeline.timings.as_dict().items()
     ]
     print()
-    engines = ", ".join(f"{ENGINE_LABELS[stage]}: {name}" for stage, name in config.engines.items())
-    pairs_per_sec = pipeline.timings.note("w2v_pairs_per_sec", "-")
-    print(format_table(timing_rows, title=f"Stage timings ({engines}, {pairs_per_sec} pairs/s)"))
+    # The walk engine that ran differs from the configured one after a CSR fallback.
+    ran = dict(fitted["engines"], walks=fitted["walks"]["engine"])
+    engines = ", ".join(f"{ENGINE_LABELS[stage]}: {name}" for stage, name in ran.items())
+    pairs_per_sec = fitted["model"]["pairs_per_sec"]
+    print(
+        format_table(timing_rows, title=f"Stage timings ({engines}, {pairs_per_sec:.0f} pairs/s)")
+    )
     return 0
 
 
@@ -376,11 +380,11 @@ def run_query(args: argparse.Namespace) -> int:
                 "candidates": len(ranking.candidates),
             }
         )
-    mmap_note = pipeline.timings.note("serving_mmap", "-")
+    mmap = pipeline.report()["serving"]["mmap"]
     print(
         format_table(
             rows,
-            title=f"Top-{args.k} serving results ({args.index}, mmap={mmap_note})",
+            title=f"Top-{args.k} serving results ({args.index}, mmap={mmap})",
         )
     )
     stats = result.retrieval

@@ -278,11 +278,7 @@ class TDMatchConfig:
             section, field_name = ENGINE_STAGES[stage]
             target = getattr(self, section)
             setattr(target, field_name, engine)
-            # Dataclass field assignment skips __post_init__; revalidate so
-            # a bad engine name fails here, not deep inside fit().
-            post_init = getattr(target, "__post_init__", None)
-            if post_init is not None:
-                post_init()
+            _revalidate(target)
         return self
 
     @classmethod
@@ -312,6 +308,18 @@ class TDMatchConfig:
         return _apply_overrides(config, overrides)
 
 
+def _revalidate(section) -> None:
+    """Re-run a config section's checks after a field assignment.
+
+    Dataclass field assignment skips ``__post_init__``; without this a bad
+    value (say, an unknown engine name) would fail deep inside ``fit()``
+    or, for an engine switch, silently select another engine.
+    """
+    post_init = getattr(section, "__post_init__", None)
+    if post_init is not None:
+        post_init()
+
+
 def _apply_overrides(config: TDMatchConfig, overrides: dict) -> TDMatchConfig:
     """Apply ``section__field=value`` style overrides, e.g. walks__num_walks=10.
 
@@ -327,6 +335,7 @@ def _apply_overrides(config: TDMatchConfig, overrides: dict) -> TDMatchConfig:
             if not hasattr(target, field_name):
                 raise AttributeError(f"{section} config has no field {field_name!r}")
             setattr(target, field_name, value)
+            _revalidate(target)
         else:
             if not hasattr(config, key):
                 raise AttributeError(f"TDMatchConfig has no section {key!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -118,6 +118,7 @@ class PipelineState:
     merge_reports: list = field(default_factory=list)
     expansion: Optional[ExpansionResult] = None
     compression: Optional[CompressionResult] = None
+    walk_engine: Optional[str] = None  # the engine that ran, after any fallback
 
 
 class TDMatch:
@@ -133,6 +134,7 @@ class TDMatch:
         self._corpus_kinds: Optional[tuple] = None
         self._delta_count = 0  # incremental batches applied since fit/load
         self._reliability_events: List = []  # supervision incidents absorbed so far
+        self._serving: Optional[Dict[str, object]] = None  # set by load_pipeline
 
     # ------------------------------------------------------------------
     # Fitting
@@ -142,6 +144,7 @@ class TDMatch:
         self._validate_corpus(second, "second")
         self._corpus_kinds = (self._corpus_kind(first), self._corpus_kind(second))
         self._delta_count = 0
+        self._serving = None
         # Discard supervision incidents left over from other pipelines in
         # this process; this fit's incidents are absorbed at the end.
         drain_events()
@@ -149,11 +152,6 @@ class TDMatch:
 
         with self.timings.measure("graph_build"):
             built = self._graph_builder().build(first, second)
-        self.timings.set_note("graph_engine", built.engine)
-        if built.filter_stats is not None:
-            self.timings.set_note(
-                "filter_kept_fraction", f"{built.filter_stats.kept_fraction:.3f}"
-            )
         logger.info(
             "graph built: %d nodes, %d edges", built.graph.num_nodes(), built.graph.num_edges()
         )
@@ -179,13 +177,6 @@ class TDMatch:
         train_total = time.perf_counter() - train_start
         self.timings.add("walks", walk_timer.stop())
         self.timings.add("word2vec", max(0.0, train_total - walk_timer.elapsed))
-        self.timings.set_note("walk_engine", engine.name)
-        self.timings.set_note("num_workers", str(parallel.num_workers))
-        if parallel.enabled:
-            self.timings.set_note("parallel_shards", str(parallel.shards))
-        if model.stats is not None:
-            self.timings.set_note("w2v_trainer", model.stats.trainer)
-            self.timings.set_note("w2v_pairs_per_sec", f"{model.stats.pairs_per_sec:.0f}")
 
         self._state = PipelineState(
             built=built,
@@ -193,32 +184,20 @@ class TDMatch:
             merge_reports=merge_reports,
             expansion=expansion,
             compression=compression,
+            walk_engine=engine.name,
         )
         self._absorb_reliability_events()
         return self
 
     def _absorb_reliability_events(self) -> None:
-        """Fold collected worker-supervision incidents into the timing notes.
+        """Move collected worker-supervision incidents onto this pipeline.
 
         The pools record incidents (timeouts, crashes, retries,
         degradations) into the module-level collector as they happen; this
         drains it so ``report()`` / ``--json`` expose what went wrong and
         how it was absorbed, per the reliability policy.
         """
-        events = drain_events()
-        if not events:
-            return
-        self._reliability_events.extend(events)
-        all_events = self._reliability_events
-        failures = sum(1 for e in all_events if e.kind in ("crash", "timeout"))
-        retries = sum(1 for e in all_events if e.kind == "retry")
-        degraded = sum(1 for e in all_events if e.kind == "degraded")
-        self.timings.set_note("reliability_failures", str(failures))
-        self.timings.set_note("reliability_retries", str(retries))
-        self.timings.set_note("reliability_degraded", str(degraded))
-        self.timings.set_note(
-            "reliability_log", "; ".join(e.summary() for e in all_events)
-        )
+        self._reliability_events.extend(drain_events())
 
     def _graph_builder(self) -> GraphBuilder:
         """The pipeline's graph builder, reused across :meth:`fit` calls.
@@ -288,8 +267,6 @@ class TDMatch:
             return None
         with self.timings.measure("compression"):
             seed = derive_rng(self.seed, "compression")
-            if compression_cfg.method in ("msp", "ssp"):
-                self.timings.set_note("compression_engine", compression_cfg.engine)
             if compression_cfg.method == "msp":
                 result = msp_compress(
                     built.graph,
@@ -439,9 +416,6 @@ class TDMatch:
         backend = self.retrieval_backend(query_side, blocker=blocker)
         with self.timings.measure("match"):
             rankings, stats = self.matcher(query_side).match_with_stats(k=k, backend=backend)
-        self.timings.set_note("retrieval_backend", stats.backend)
-        self.timings.set_note("compared_pairs", str(stats.scored_pairs))
-        self.timings.set_note("reduction_ratio", f"{stats.reduction_ratio:.3f}")
         return MatchResult(rankings=rankings, query_side=query_side, k=k, retrieval=stats)
 
     # ------------------------------------------------------------------
@@ -513,28 +487,57 @@ class TDMatch:
         return dict(self.config.engines)
 
     def report(self) -> Dict[str, object]:
-        """A JSON-able report of engines, timings, and fitted-state shape."""
+        """A JSON-able provenance record, derived from state on every call.
+
+        Values keep their types (int, float, bool, str); README's "The
+        ``report()`` schema" lists the keys.  Per-query retrieval
+        statistics live on :class:`MatchResult`, not here.
+        """
+        parallel = self.config.parallel
+        parallel_info: Dict[str, object] = {"num_workers": parallel.num_workers}
+        if parallel.enabled:
+            parallel_info["shards"] = parallel.shards
         report: Dict[str, object] = {
             "engines": self.engines(),
+            "parallel": parallel_info,
             "timings": self.timings.to_dict(),
             "reliability": [event.to_dict() for event in self._reliability_events],
         }
-        if self._state is not None:
-            built = self._state.built
-            model = self._state.model
-            report["graph"] = {
-                "nodes": built.graph.num_nodes(),
-                "edges": built.graph.num_edges(),
-                "engine": built.engine,
-                "intersect_anchor": built.intersect_anchor,
+        if self._serving is not None:
+            report["serving"] = dict(self._serving)
+        if self._state is None:
+            return report
+        state = self._state
+        built = state.built
+        nodes, edges = built.size()
+        graph_info: Dict[str, object] = {
+            "nodes": nodes,
+            "edges": edges,
+            "engine": built.engine,
+            "intersect_anchor": built.intersect_anchor,
+        }
+        if built.filter_stats is not None:
+            graph_info["filter_kept_fraction"] = built.filter_stats.kept_fraction
+        report["graph"] = graph_info
+        if state.walk_engine is not None:
+            report["walks"] = {"engine": state.walk_engine}
+        compression = state.compression
+        if compression is not None:
+            report["compression"] = {
+                "method": compression.method,
+                "engine": compression.engine,
+                "nodes_before": compression.nodes_before,
+                "nodes_after": compression.nodes_after,
+                "edges_before": compression.edges_before,
+                "edges_after": compression.edges_after,
             }
-            model_info: Dict[str, object] = {
-                "vocab_size": len(model.vocab) if model.vocab is not None else 0,
-                "vector_size": model.config.vector_size,
-            }
-            if model.stats is not None:
-                model_info["trainer"] = model.stats.trainer
-                model_info["pairs"] = model.stats.pairs
-            report["model"] = model_info
-            report["incremental_deltas"] = self._delta_count
+        model = state.model
+        model_info: Dict[str, object] = {
+            "vocab_size": len(model.vocab) if model.vocab is not None else 0,
+            "vector_size": model.config.vector_size,
+        }
+        if model.stats is not None:  # trained or fine-tuned in this process
+            model_info.update(asdict(model.stats), pairs_per_sec=model.stats.pairs_per_sec)
+        report["model"] = model_info
+        report["incremental_deltas"] = self._delta_count
         return report

@@ -435,6 +435,7 @@ class Word2Vec:
         if centers.size == 0:
             raise ValueError("no training pairs could be extracted")
 
+        in_ids, out_ids = (centers, contexts) if self.config.sg else (contexts, centers)
         n_pairs = centers.size
         total_steps = self.config.epochs * n_pairs
         step = 0
@@ -443,10 +444,7 @@ class Word2Vec:
             for start in range(0, n_pairs, self.config.batch_size):
                 batch = order[start : start + self.config.batch_size]
                 lr = self._learning_rate(step, total_steps)
-                if self.config.sg:
-                    self._sg_update(centers[batch], contexts[batch], neg_dist, lr)
-                else:
-                    self._cbow_update(batch, centers, contexts, neg_dist, lr)
+                self._reference_update(in_ids[batch], out_ids[batch], neg_dist, lr)
                 step += batch.size
             logger.debug("word2vec epoch %d/%d done", epoch + 1, self.config.epochs)
         return step
@@ -479,62 +477,36 @@ class Word2Vec:
                     contexts.append(sentence[ctx_pos])
         return np.asarray(centers, dtype=np.int64), np.asarray(contexts, dtype=np.int64)
 
-    # -- skip-gram update -------------------------------------------------
-    def _sg_update(self, centers, contexts, neg_dist, lr) -> None:
-        w_in = self._input_vectors
-        w_out = self._output_vectors
-        batch = centers.size
-        k = self.config.negative
+    # -- per-pair update ---------------------------------------------------
+    def _reference_update(self, in_ids, out_ids, neg_dist, lr) -> None:
+        """One batch of per-pair SGD: ``in`` tokens predict ``out`` tokens.
 
-        negatives = self._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
-        center_vecs = w_in[centers]                     # (B, D)
-        pos_vecs = w_out[contexts]                      # (B, D)
-        neg_vecs = w_out[negatives]                     # (B, K, D)
-
-        pos_scores = _sigmoid(np.einsum("bd,bd->b", center_vecs, pos_vecs))
-        neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, center_vecs))
-
-        pos_grad = (pos_scores - 1.0)[:, None]          # (B, 1)
-        neg_grad = neg_scores[:, :, None]               # (B, K, 1)
-
-        grad_center = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
-        grad_pos = pos_grad * center_vecs
-        grad_neg = neg_grad * center_vecs[:, None, :]
-
-        np.add.at(w_in, centers, -lr * grad_center)
-        np.add.at(w_out, contexts, -lr * grad_pos)
-        np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
-
-    # -- CBOW update -------------------------------------------------------
-    def _cbow_update(self, batch_idx, centers, contexts, neg_dist, lr) -> None:
-        """CBOW treated pairwise: the context token predicts the center.
-
-        With per-pair extraction the full CBOW bag averaging degenerates to
-        predicting the center from each context token; this retains the CBOW
-        direction (context → center) while reusing the same pair set.
+        Skip-gram passes (centers, contexts).  CBOW is treated pairwise and
+        passes (contexts, centers): with per-pair extraction the full CBOW
+        bag averaging degenerates to predicting the center from each context
+        token, which keeps the CBOW direction over the same pair set.  Each
+        pair draws its own ``negative`` ids.
         """
         w_in = self._input_vectors
         w_out = self._output_vectors
-        ctx = contexts[batch_idx]
-        cen = centers[batch_idx]
-        batch = ctx.size
+        batch = in_ids.size
         k = self.config.negative
 
         negatives = self._rng.choice(len(neg_dist), size=(batch, k), p=neg_dist)
-        ctx_vecs = w_in[ctx]
-        pos_vecs = w_out[cen]
-        neg_vecs = w_out[negatives]
+        in_vecs = w_in[in_ids]                          # (B, D)
+        pos_vecs = w_out[out_ids]                       # (B, D)
+        neg_vecs = w_out[negatives]                     # (B, K, D)
 
-        pos_scores = _sigmoid(np.einsum("bd,bd->b", ctx_vecs, pos_vecs))
-        neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, ctx_vecs))
+        pos_scores = _sigmoid(np.einsum("bd,bd->b", in_vecs, pos_vecs))
+        neg_scores = _sigmoid(np.einsum("bkd,bd->bk", neg_vecs, in_vecs))
 
-        pos_grad = (pos_scores - 1.0)[:, None]
-        grad_ctx = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
-        grad_pos = pos_grad * ctx_vecs
-        grad_neg = neg_scores[:, :, None] * ctx_vecs[:, None, :]
+        pos_grad = (pos_scores - 1.0)[:, None]          # (B, 1)
+        grad_in = pos_grad * pos_vecs + np.einsum("bk,bkd->bd", neg_scores, neg_vecs)
+        grad_pos = pos_grad * in_vecs
+        grad_neg = neg_scores[:, :, None] * in_vecs[:, None, :]
 
-        np.add.at(w_in, ctx, -lr * grad_ctx)
-        np.add.at(w_out, cen, -lr * grad_pos)
+        np.add.at(w_in, in_ids, -lr * grad_in)
+        np.add.at(w_out, out_ids, -lr * grad_pos)
         np.add.at(w_out, negatives.reshape(-1), -lr * grad_neg.reshape(batch * k, -1))
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ Modules
 ``csr``
     Immutable CSR snapshot of the graph, cached against its version.
 ``walk_engine``
-    Pluggable walk engines: reference python stepping vs vectorised CSR.
+    Pluggable walk engines: reference step-at-a-time vs vectorised CSR.
 """
 
 from repro.graph.graph import MatchGraph, NodeKind, dedup_edge_ids

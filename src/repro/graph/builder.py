@@ -211,6 +211,10 @@ class BuiltGraph:
     def second_labels(self) -> List[str]:
         return list(self.second_metadata.values())
 
+    def size(self) -> Tuple[int, int]:
+        """``(nodes, edges)`` of the graph."""
+        return self.graph.num_nodes(), self.graph.num_edges()
+
 
 class GraphBuilder:
     """Builds the joint graph for two corpora (Algorithm 1)."""

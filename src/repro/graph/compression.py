@@ -40,7 +40,7 @@ sampled pair; the bulk engine always computes the exact union).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -59,20 +59,25 @@ COMPRESSION_ENGINES = ("bulk", "reference")
 
 @dataclass
 class CompressionResult:
-    """A compressed graph together with size statistics."""
+    """A compressed graph together with size statistics.
+
+    ``engine`` names the MSP/SSP engine that ran; the other methods have
+    one implementation and leave it ``None``.
+    """
 
     graph: MatchGraph
     method: str
     nodes_before: int
     edges_before: int
+    engine: Optional[str] = None
+    nodes_after: int = field(init=False)
+    edges_after: int = field(init=False)
 
-    @property
-    def nodes_after(self) -> int:
-        return self.graph.num_nodes()
-
-    @property
-    def edges_after(self) -> int:
-        return self.graph.num_edges()
+    def __post_init__(self) -> None:
+        # The sizes as compressed: incremental deltas later grow ``graph``
+        # in place, since it becomes the pipeline's graph.
+        self.nodes_after = self.graph.num_nodes()
+        self.edges_after = self.graph.num_edges()
 
     @property
     def node_ratio(self) -> float:
@@ -228,7 +233,8 @@ def msp_compress(
             graph, first_metadata, second_metadata, pairs, max_paths_per_pair
         )
     return CompressionResult(
-        graph=compressed, method=f"msp({beta})", nodes_before=nodes_before, edges_before=edges_before
+        graph=compressed, method=f"msp({beta})", nodes_before=nodes_before,
+        edges_before=edges_before, engine=engine,
     )
 
 
@@ -479,7 +485,8 @@ def ssp_compress(
                 collector.add_path(path)
         compressed = _build_compressed(graph, collector.nodes, collector.edges)
     return CompressionResult(
-        graph=compressed, method=f"ssp({beta})", nodes_before=nodes_before, edges_before=edges_before
+        graph=compressed, method=f"ssp({beta})", nodes_before=nodes_before,
+        edges_before=edges_before, engine=engine,
     )
 
 

@@ -21,7 +21,7 @@ randomness and in speed:
     materialised twice.
 
 Use :func:`make_walk_engine` to honour ``RandomWalkConfig.walk_engine`` with
-automatic fallback to the python engine when the CSR snapshot cannot be
+automatic fallback to the reference engine when the CSR snapshot cannot be
 built.
 """
 
@@ -93,7 +93,7 @@ def walk_batch_ids(
 class PythonWalkEngine:
     """Reference engine: step-at-a-time walks over the dict adjacency."""
 
-    name = "python"
+    name = "reference"
 
     def __init__(self, graph: MatchGraph, config: Optional[RandomWalkConfig] = None):
         self.graph = graph
@@ -192,7 +192,7 @@ def make_walk_engine(
 ):
     """Instantiate the engine selected by ``config.walk_engine``.
 
-    The CSR engine falls back to the python engine when the snapshot cannot
+    The CSR engine falls back to the reference engine when the snapshot cannot
     be built — only for the failure classes snapshot construction can
     legitimately hit (allocation failure or an id space overflowing the
     int32 CSR indices), each logged as a warning through
@@ -202,7 +202,7 @@ def make_walk_engine(
     real defects behind a slower but working fit.
     """
     config = config or RandomWalkConfig()
-    if config.walk_engine in ("python", "reference"):
+    if config.walk_engine == "reference":
         return PythonWalkEngine(graph, config)
     try:
         # Build (or fetch) the snapshot first so only genuine snapshot
@@ -211,7 +211,7 @@ def make_walk_engine(
         csr_adjacency(graph)
     except (MemoryError, OverflowError, ValueError) as exc:
         logger.warning(
-            "CSR snapshot unavailable (%s: %s); falling back to the python "
+            "CSR snapshot unavailable (%s: %s); falling back to the reference "
             "walk engine",
             type(exc).__name__,
             exc,

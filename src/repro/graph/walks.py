@@ -9,8 +9,8 @@ ones, which is what makes their vectors close.
 Two engines implement the same walk semantics (identical start-node
 multiset, uniform neighbour choice, early stop on isolated nodes):
 
-* ``python`` — the reference engine in this module, one step at a time over
-  the dict-of-sets adjacency;
+* ``reference`` — the engine in this module, one step at a time over the
+  dict-of-sets adjacency;
 * ``csr`` — :class:`~repro.graph.walk_engine.CSRWalkEngine`, which advances
   all walks in lock-step with vectorised draws into a cached CSR snapshot
   (see :mod:`repro.graph.csr`); it is the default and is typically an order
@@ -30,10 +30,9 @@ from typing import Iterator, List, Optional, Sequence
 from repro.graph.graph import MatchGraph
 from repro.utils.rng import ensure_rng
 
-#: "reference" is the unified-vocabulary alias for the python engine, so the
-#: walks stage accepts the same reference-twin spelling as every other stage
-#: in :data:`repro.core.config.ENGINE_STAGES`.
-WALK_ENGINES = ("python", "csr", "reference")
+#: Walk engine names; "reference" is the same reference-twin spelling as every
+#: other stage in :data:`repro.core.config.ENGINE_STAGES`.
+WALK_ENGINES = ("csr", "reference")
 
 
 @dataclass
@@ -50,10 +49,9 @@ class RandomWalkConfig:
         Optional restriction of the start nodes; ``None`` starts from every
         node as in the paper's default configuration.
     walk_engine:
-        ``"csr"`` (default) for the vectorised engine, ``"python"`` (alias
-        ``"reference"``) for the reference step-at-a-time engine.  The CSR
-        engine falls back to the python engine automatically if the
-        snapshot cannot be built.
+        ``"csr"`` (default) for the vectorised engine, ``"reference"`` for
+        the step-at-a-time engine.  The CSR engine falls back to the
+        reference engine automatically if the snapshot cannot be built.
     """
 
     num_walks: int = 100

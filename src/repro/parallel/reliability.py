@@ -14,12 +14,12 @@ pool would have produced.
 
 Every timeout / crash / retry / degradation is recorded as a
 :class:`ReliabilityEvent` in a module-level, thread-safe collector.
-:meth:`TDMatch.fit` drains the collector into ``TimingRegistry`` notes
-(``reliability_failures`` / ``reliability_retries`` /
-``reliability_degraded`` / ``reliability_log``) so ``report()`` and the
-CLI ``--json`` output expose exactly what went wrong and how it was
-absorbed.  The collector lives here — not on the pool — because pools are
-created per stage deep inside fit stages that never see the pipeline.
+:meth:`TDMatch.fit` and the incremental deltas drain the collector onto
+the pipeline, whose ``report()["reliability"]`` (and so the CLI
+``--json`` output) lists every event as a dict; a reader counts them by
+``kind`` to see exactly what went wrong and how it was absorbed.  The
+collector lives here — not on the pool — because pools are created per
+stage deep inside fit stages that never see the pipeline.
 """
 
 from __future__ import annotations

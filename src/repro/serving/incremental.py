@@ -85,6 +85,23 @@ def _coerce_records(records: Iterable) -> List[Tuple[str, Dict[str, object]]]:
     return out
 
 
+def _check_corpus_kind(pipeline, side: str, kind: str) -> None:
+    """Refuse a delta whose objects are not of the side's fitted corpus kind.
+
+    Indexes written before corpus kinds were saved carry none and skip the
+    check; an invalid side name fails later, in :func:`_metadata_map`.
+    """
+    kinds = pipeline._corpus_kinds
+    if not kinds or side not in ("first", "second"):
+        return
+    fitted = kinds[0] if side == "first" else kinds[1]
+    if fitted != kind:
+        raise PipelineError(
+            f"the {side} corpus was fitted as a {fitted}, so it cannot take "
+            f"{kind} objects; nothing was applied"
+        )
+
+
 def _unique_ids(object_ids: Iterable, side: str) -> List[str]:
     """The batch's ids as strings; a repeated id fails the whole batch."""
     ids = [str(object_id) for object_id in object_ids]
@@ -106,8 +123,10 @@ def add_documents(pipeline, documents: Iterable, side: str = "second") -> List[s
 
     Returns the metadata labels of the added documents.  ``documents`` may
     be :class:`~repro.corpus.documents.Document` objects or
-    ``(doc_id, text)`` pairs.
+    ``(doc_id, text)`` pairs.  Only a side fitted from a text corpus
+    takes documents.
     """
+    _check_corpus_kind(pipeline, side, "text")
     preprocessor = pipeline._graph_builder()._preprocessor
     objects = [
         (doc_id, preprocessor.terms(text), {})
@@ -123,8 +142,9 @@ def add_records(pipeline, records: Iterable, side: str = "second") -> List[str]:
     :class:`~repro.corpus.table.Row` objects or ``(row_id, values_dict)``
     pairs.  Terms also connect to the side's column nodes when the row's
     columns were present at fit time; cells of unseen columns still feed
-    the row's own term edges.
+    the row's own term edges.  Only a side fitted from a table takes rows.
     """
+    _check_corpus_kind(pipeline, side, "table")
     preprocessor = pipeline._graph_builder()._preprocessor
     objects = []
     for row_id, values in _coerce_records(records):
@@ -161,9 +181,6 @@ def remove(pipeline, object_ids: Iterable[str], side: str = "second") -> List[st
             if label in graph:
                 graph.remove_node(label)
             removed.append(label)
-    pipeline.timings.set_note(
-        "incremental_deltas", str(pipeline._delta_count)
-    )
     return removed
 
 
@@ -270,7 +287,6 @@ def _apply_delta(pipeline, side, objects) -> List[str]:
             mapping.pop(object_id, None)
         pipeline._delta_count -= 1
         raise
-    pipeline.timings.set_note("incremental_deltas", str(pipeline._delta_count))
     return new_labels
 
 

@@ -328,12 +328,13 @@ class LazyBuiltGraph(BuiltGraph):
 
     ``match()`` over the dense backend only needs embedding rows, so a
     loaded index defers rebuilding the dict-of-sets adjacency until
-    something (blocked retrieval, incremental fit, ``report()``) actually
-    asks for ``.graph``.
+    something (blocked retrieval, incremental fit) actually asks for
+    ``.graph``; ``report()`` reads the saved sizes until then.
     """
 
-    def __init__(self, materialize, **kwargs):
+    def __init__(self, materialize, saved_size: Tuple[int, int], **kwargs):
         self._materialize_fn = materialize
+        self._saved_size = saved_size
         self._graph_obj = None
         super().__init__(graph=None, **kwargs)
 
@@ -350,6 +351,11 @@ class LazyBuiltGraph(BuiltGraph):
     @property
     def materialized(self) -> bool:
         return self._graph_obj is not None
+
+    def size(self) -> Tuple[int, int]:
+        # Every delta materialises the graph first, so an unmaterialised
+        # graph is still the one that was saved.
+        return super().size() if self.materialized else self._saved_size
 
 
 def _materialize_graph(labels, kinds, corpora, roles, indptr, indices) -> MatchGraph:
@@ -428,6 +434,10 @@ def config_from_dict(data: Dict[str, object]):
     """Rebuild a :class:`TDMatchConfig` from :func:`config_to_dict` output."""
     from repro.core.config import TDMatchConfig
 
+    walks = data.get("walks")
+    if isinstance(walks, dict) and walks.get("walk_engine") == "python":
+        # Indexes written before "python" was folded into "reference".
+        data = {**data, "walks": {**walks, "walk_engine": "reference"}}
     config = TDMatchConfig()
     _restore_config_fields(config, data)
     return config
@@ -484,7 +494,6 @@ def save_pipeline(pipeline, path: str) -> str:
             "roles": roles,
             "num_edges": graph.num_edges(),
         },
-        "notes": dict(pipeline.timings.notes),
     }
     arrays: Dict[str, np.ndarray] = {
         "csr_indptr": csr.indptr,
@@ -545,6 +554,7 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
             arrays["csr_indptr"],
             arrays["csr_indices"],
         ),
+        saved_size=(len(graph_data["labels"]), int(graph_data["num_edges"])),
         first_metadata=dict(header["first_metadata"]),
         second_metadata=dict(header["second_metadata"]),
         filter_stats=FilterStatistics(**stats_data) if stats_data else None,
@@ -554,9 +564,5 @@ def load_pipeline(path: str, mmap: Optional[bool] = None, verify: str = "header"
     pipeline._state = PipelineState(built=built, model=model)
     kinds = header.get("corpus_kinds") or None
     pipeline._corpus_kinds = tuple(kinds) if kinds else None
-    for name, value in (header.get("notes") or {}).items():
-        pipeline.timings.set_note(name, value)
-    pipeline.timings.set_note("serving_mmap", str(bool(mmap)))
-    pipeline.timings.set_note("serving_index", path)
-    pipeline.timings.set_note("serving_verify", verify)
+    pipeline._serving = {"index": path, "mmap": bool(mmap), "verify": verify}
     return pipeline

@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG helpers, timing, and logging."""
 
 from repro.utils.rng import RandomState, derive_rng, ensure_rng, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch, TimingRegistry, timed
+from repro.utils.timing import Stopwatch, TimingRegistry
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "stable_hash",
     "Stopwatch",
     "TimingRegistry",
-    "timed",
     "get_logger",
 ]

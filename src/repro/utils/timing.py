@@ -46,34 +46,20 @@ class Stopwatch:
 
 @dataclass
 class TimingRegistry:
-    """Accumulates named timing measurements (seconds) and free-form notes.
+    """Accumulates named timing measurements, in seconds.
 
-    Notes annotate the measurements with provenance the benchmark tables
-    report next to the times — e.g. which walk engine produced the "walks"
-    row, or the measured speedup of one engine over another.
+    Only times live here.  Which engines ran, how much work they did and
+    what went wrong are read from the pipeline's state by
+    :meth:`repro.core.pipeline.TDMatch.report`, so they cannot drift from it.
     """
 
     records: Dict[str, List[float]] = field(default_factory=dict)
-    notes: Dict[str, str] = field(default_factory=dict)
 
     def add(self, name: str, seconds: float) -> None:
         self.records.setdefault(name, []).append(float(seconds))
 
-    def set_note(self, name: str, value: str) -> None:
-        """Attach a provenance note (overwrites an existing note)."""
-        self.notes[name] = str(value)
-
-    def note(self, name: str, default: str = "") -> str:
-        return self.notes.get(name, default)
-
     def total(self, name: str) -> float:
         return sum(self.records.get(name, []))
-
-    def mean(self, name: str) -> float:
-        values = self.records.get(name, [])
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
 
     def names(self) -> List[str]:
         return sorted(self.records)
@@ -93,9 +79,8 @@ class TimingRegistry:
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """The full registry as a plain JSON-able dict.
 
-        ``stages`` maps each measurement name to its total seconds (and the
-        individual samples, for benches that record best-of-N), ``notes``
-        carries the provenance strings verbatim.
+        ``stages`` maps each measurement name to its total seconds and the
+        individual samples (for benches that record best-of-N).
         """
         return {
             "stages": {
@@ -105,15 +90,4 @@ class TimingRegistry:
                 }
                 for name in self.names()
             },
-            "notes": dict(self.notes),
         }
-
-
-@contextmanager
-def timed(registry: Optional[TimingRegistry], name: str) -> Iterator[None]:
-    """Measure the block into ``registry`` when one is provided."""
-    if registry is None:
-        yield
-        return
-    with registry.measure(name):
-        yield

@@ -619,9 +619,9 @@ class TestPipelineCompressionEngines:
 
     def test_compression_engine_note_recorded(self, scenario):
         pipeline = self.run(scenario, "bulk")
-        assert pipeline.timings.note("compression_engine", "?") == "bulk"
+        assert pipeline.report()["compression"]["engine"] == "bulk"
         reference = self.run(scenario, "reference")
-        assert reference.timings.note("compression_engine", "?") == "reference"
+        assert reference.report()["compression"]["engine"] == "reference"
 
     def test_compression_stage_still_replaces_graph(self, scenario):
         pipeline = self.run(scenario, "bulk")

@@ -524,9 +524,10 @@ class TestPipelineIntegration:
 
     def test_timing_notes_recorded(self, scenario):
         pipeline = self.run(scenario, "bulk")
-        assert pipeline.timings.note("graph_engine", "?") == "bulk"
-        fraction = float(pipeline.timings.note("filter_kept_fraction", "nan"))
-        assert 0.0 <= fraction <= 1.0
+        graph = pipeline.report()["graph"]
+        assert graph["engine"] == "bulk"
+        fraction = graph["filter_kept_fraction"]
+        assert isinstance(fraction, float) and 0.0 <= fraction <= 1.0
 
     def test_refit_reuses_builder_until_config_changes(self, scenario):
         pipeline = self.run(scenario, "bulk")

@@ -246,10 +246,9 @@ class TestPipelineParallel:
             serial.state.model._input_vectors, single.state.model._input_vectors
         )
         assert single.match(k=10).as_id_lists() == serial.match(k=10).as_id_lists()
-        assert serial.timings.note("num_workers") == "0"
-        assert single.timings.note("num_workers") == "1"
-        assert single.timings.note("walk_engine") == "csr"
-        assert single.timings.note("parallel_shards") == "1"
+        assert serial.report()["parallel"] == {"num_workers": 0}
+        assert single.report()["parallel"] == {"num_workers": 1, "shards": 1}
+        assert single.report()["walks"]["engine"] == "csr"
 
     def test_worker_count_invariant_at_fixed_shards(self, scenario):
         one = self._fit(scenario, 1, num_shards=2)

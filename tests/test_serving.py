@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.config import ENGINE_STAGES, TDMatchConfig
+from repro.core.config import ENGINE_STAGES, CompressionConfig, TDMatchConfig
 from repro.core.exceptions import NotFittedError, PipelineError
 from repro.core.pipeline import TDMatch
 from repro.corpus.documents import TextCorpus
@@ -316,6 +316,36 @@ class TestSaveLoadRoundtrip:
         expected = fitted.match_result(k=10).to_dict()["rankings"]
         assert loaded.match_result(k=10).to_dict()["rankings"] == expected
 
+    def test_snapshot_with_python_walk_engine_loads_as_reference(self, index_path, fitted):
+        # Indexes written while "python" was a second name of the reference
+        # walk engine restore with the one name it has now.
+        def python_walks(header):
+            header["config"]["walks"]["walk_engine"] = "python"
+
+        _rewrite_header(index_path, python_walks)
+        loaded = TDMatch.load(index_path)
+        assert loaded.config.walks.walk_engine == "reference"
+        assert loaded.engines()["walks"] == "reference"
+        expected = fitted.match_result(k=10).to_dict()["rankings"]
+        assert loaded.match_result(k=10).to_dict()["rankings"] == expected
+
+    def test_index_with_notes_header_serves_identically(self, index_path, fitted):
+        # Indexes written before report() was derived from state carry a
+        # "notes" dict of strings; it is ignored, not replayed.
+        def add_notes(header):
+            header["notes"] = {
+                "w2v_pairs_per_sec": "123456",
+                "retrieval_backend": "blocked",
+                "compared_pairs": "512",
+            }
+
+        _rewrite_header(index_path, add_notes)
+        loaded = TDMatch.load(index_path, verify="full")
+        expected = fitted.match_result(k=10).to_dict()["rankings"]
+        assert loaded.match_result(k=10).to_dict()["rankings"] == expected
+        text = json.dumps(loaded.report())
+        assert "123456" not in text and "blocked" not in text
+
     def test_query_in_fresh_subprocess_without_fit(self, index_path, fitted):
         """The two-process story: fit-save here, load-query in a new process."""
         expected = fitted.match_result(k=5).to_dict()["rankings"]
@@ -406,10 +436,11 @@ class TestIncrementalFit:
             pipeline.add_documents([(existing, "text")], side="second")
 
     @staticmethod
-    def _delta_state(pipeline):
+    def _delta_state(pipeline, side="second"):
         graph = pipeline.graph
+        built = pipeline.state.built
         return (
-            dict(pipeline.state.built.second_metadata),
+            dict(built.first_metadata if side == "first" else built.second_metadata),
             set(graph.nodes()),
             set(graph.edges()),
             len(pipeline.model.vocab),
@@ -475,6 +506,25 @@ class TestIncrementalFit:
         unchanged = np.all(after == touched_before, axis=1)
         assert unchanged.sum() > 0.5 * vocab_before
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_delta_of_the_wrong_kind_is_refused(self, fitted, side):
+        # imdb_wt fits reviews (text) against movies (a table): text goes
+        # only to the first side, rows only to the second.
+        before = self._delta_state(fitted, side)
+        with pytest.raises(PipelineError, match="nothing was applied"):
+            if side == "second":
+                fitted.add_documents([("zz9", "a review of a new film")], side=side)
+            else:
+                fitted.add_records([("zz9", {"title": "New Film"})], side=side)
+        assert self._delta_state(fitted, side) == before
+
+    def test_rows_refused_on_a_text_side(self, text_scenario):
+        pipeline, _held = self._reduced_fit(text_scenario)
+        before = self._delta_state(pipeline)
+        with pytest.raises(PipelineError, match="fitted as a text"):
+            pipeline.add_records([("zz9", {"title": "New Film"})], side="second")
+        assert self._delta_state(pipeline) == before
+
     def test_tfidf_filter_rejects_incremental(self, text_scenario):
         config = TDMatchConfig.fast()
         config.builder.filter_strategy_name = "tfidf"
@@ -515,8 +565,17 @@ class TestEnginesAPI:
             config.set_engines({"walks": "quantum"})
 
     def test_engines_override_in_factory(self):
-        config = TDMatchConfig.fast(engines={"walks": "python"})
-        assert config.walks.walk_engine == "python"
+        config = TDMatchConfig.fast(engines={"walks": "reference"})
+        assert config.walks.walk_engine == "reference"
+
+    @pytest.mark.parametrize(
+        "override", [{"engines": {"walks": "python"}}, {"walks__walk_engine": "python"}]
+    )
+    def test_retired_walk_engine_name_rejected(self, override):
+        # "python" is no walk engine any more; a factory override naming it
+        # fails instead of fitting with the default CSR engine.
+        with pytest.raises(ValueError, match="walk_engine"):
+            TDMatchConfig.fast(**override)
 
     def test_pipeline_engines_method(self, fitted):
         assert fitted.engines() == dict(fitted.config.engines)
@@ -549,7 +608,86 @@ class TestReports:
         assert len(first) <= 4
         assert isinstance(first[0][0], str) and isinstance(first[0][1], float)
 
+    def test_refit_reports_only_the_latest_fit(self, scenario):
+        config = TDMatchConfig.fast()
+        config.compression = CompressionConfig(enabled=True, method="msp", ratio=1.0)
+        config.parallel.num_workers = 1
+        pipeline = TDMatch(config, seed=7).fit(scenario.first, scenario.second)
+        report = pipeline.report()
+        assert report["compression"]["engine"] == "bulk"
+        assert report["parallel"] == {"num_workers": 1, "shards": 1}
+
+        config.compression = CompressionConfig()
+        config.parallel.num_workers = 0
+        pipeline.fit(scenario.first, scenario.second)
+        report = pipeline.report()
+        assert "compression" not in report
+        assert report["parallel"] == {"num_workers": 0}
+
+    def test_compression_sizes_stay_as_compressed_after_a_delta(self, text_scenario):
+        docs = list(text_scenario.second)
+        config = TDMatchConfig.fast()
+        config.compression = CompressionConfig(enabled=True, method="msp", ratio=1.0)
+        pipeline = TDMatch(config, seed=7)
+        pipeline.fit(text_scenario.first, TextCorpus(docs[2:], name="reduced"))
+        before = pipeline.report()
+        assert before["compression"]["nodes_after"] == before["graph"]["nodes"]
+        pipeline.add_documents(docs[:2], side="second")
+        after = pipeline.report()
+        assert after["graph"]["nodes"] > before["graph"]["nodes"]
+        assert after["compression"] == before["compression"]
+
+    def test_loaded_index_reports_no_fit_process_figures(self, fitted, tmp_path):
+        fitted.match_result(k=3)
+        path = fitted.save(str(tmp_path / "fresh.tdm"))
+        loaded = TDMatch.load(path, mmap=False)
+        report = loaded.report()
+        assert report["serving"] == {"index": path, "mmap": False, "verify": "header"}
+        # The saved sizes, read without rebuilding the lazy graph.
+        assert (report["graph"]["nodes"], report["graph"]["edges"]) == fitted.state.built.size()
+        assert not loaded.state.built.materialized
+        # No training and no query ran in this process yet.
+        assert set(report["model"]) == {"vocab_size", "vector_size"}
+        assert "walks" not in report
+        text = json.dumps(report)
+        for figure in ("pairs_per_sec", "retrieval", "compared_pairs", "reduction_ratio"):
+            assert figure not in text
+        # Per-query figures stay on the query's result.
+        loaded.match_result(k=3)
+        assert "retrieval" not in json.dumps(loaded.report())
+
+    def test_report_values_are_typed(self, scenario, tmp_path):
+        config = TDMatchConfig.fast()
+        config.compression = CompressionConfig(enabled=True, method="msp", ratio=1.0)
+        pipeline = TDMatch(config, seed=7).fit(scenario.first, scenario.second)
+        pipeline.match_result(k=3)
+        loaded = TDMatch.load(pipeline.save(str(tmp_path / "typed.tdm")))
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    yield from leaves(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for report in (pipeline.report(), loaded.report()):
+            parsed = json.loads(json.dumps(report))
+            for leaf in leaves(parsed):
+                if isinstance(leaf, str):
+                    with pytest.raises(ValueError):
+                        float(leaf)  # a number formatted as a string
+                    assert leaf not in ("True", "False")
+        fitted = pipeline.report()
+        assert isinstance(fitted["model"]["pairs_per_sec"], float)
+        assert isinstance(fitted["graph"]["filter_kept_fraction"], float)
+        assert isinstance(fitted["compression"]["nodes_after"], int)
+        assert loaded.report()["serving"]["mmap"] is False
+
     def test_timing_registry_to_dict(self, fitted):
         payload = fitted.timings.to_dict()
         assert payload["stages"]["graph_build"]["seconds"] >= 0
-        assert payload["notes"]["graph_engine"] == "bulk"
+        assert set(payload) == {"stages"}
+        assert fitted.report()["graph"]["engine"] == "bulk"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch, TimingRegistry, timed
+from repro.utils.timing import Stopwatch, TimingRegistry
 
 
 class TestRng:
@@ -82,24 +82,12 @@ class TestTiming:
             time.sleep(0.01)
         registry.add("stage", 1.0)
         assert registry.total("stage") > 1.0
-        assert registry.mean("stage") > 0.5
         assert registry.names() == ["stage"]
         assert "stage" in registry.as_dict()
 
     def test_registry_unknown_name(self):
         registry = TimingRegistry()
         assert registry.total("missing") == 0.0
-        assert registry.mean("missing") == 0.0
-
-    def test_timed_with_none_registry(self):
-        with timed(None, "anything"):
-            pass  # must not raise
-
-    def test_timed_with_registry(self):
-        registry = TimingRegistry()
-        with timed(registry, "x"):
-            pass
-        assert registry.total("x") >= 0.0
 
 
 class TestLogging:

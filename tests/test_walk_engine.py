@@ -209,14 +209,14 @@ class TestEngineParity:
 # ----------------------------------------------------------------------
 # Determinism
 class TestDeterminism:
-    @pytest.mark.parametrize("engine_name", ["python", "csr"])
+    @pytest.mark.parametrize("engine_name", ["reference", "csr"])
     def test_same_seed_same_corpus(self, diamond_graph, engine_name):
         config = RandomWalkConfig(num_walks=4, walk_length=6, walk_engine=engine_name)
         first = generate_walks(diamond_graph, config, seed=42)
         second = generate_walks(diamond_graph, config, seed=42)
         assert first == second
 
-    @pytest.mark.parametrize("engine_name", ["python", "csr"])
+    @pytest.mark.parametrize("engine_name", ["reference", "csr"])
     def test_different_seeds_differ(self, diamond_graph, engine_name):
         config = RandomWalkConfig(num_walks=8, walk_length=10, walk_engine=engine_name)
         assert generate_walks(diamond_graph, config, seed=1) != generate_walks(
@@ -229,7 +229,7 @@ class TestDeterminism:
         walks = generate_walks(diamond_graph, config, seed=rng)
         assert len(walks) == 2 * diamond_graph.num_nodes()
 
-    @pytest.mark.parametrize("engine_name", ["python", "csr"])
+    @pytest.mark.parametrize("engine_name", ["reference", "csr"])
     def test_determinism_across_processes(self, engine_name):
         # Same seed must give the same corpus under different hash seeds:
         # neighbour order must never come from raw set iteration order.
@@ -269,7 +269,7 @@ class TestDeterminism:
 # Engine selection and fallback
 class TestEngineSelection:
     def test_config_selects_engine(self, diamond_graph):
-        python_config = RandomWalkConfig(walk_engine="python")
+        python_config = RandomWalkConfig(walk_engine="reference")
         csr_config = RandomWalkConfig(walk_engine="csr")
         assert isinstance(make_walk_engine(diamond_graph, python_config), PythonWalkEngine)
         assert isinstance(make_walk_engine(diamond_graph, csr_config), CSRWalkEngine)
@@ -304,7 +304,7 @@ class TestEngineSelection:
         assert isinstance(engine, PythonWalkEngine)
         messages = [record.getMessage() for record in caplog.records]
         assert any(
-            "falling back to the python walk engine" in message
+            "falling back to the reference walk engine" in message
             and "MemoryError" in message
             and "48 exabytes please" in message
             for message in messages
@@ -325,14 +325,14 @@ class TestEngineSelection:
 
     def test_invalid_batch_size_not_swallowed_by_fallback(self, diamond_graph):
         # Caller errors (bad batch_size) propagate instead of selecting the
-        # python engine behind the caller's back.
+        # reference engine behind the caller's back.
         with pytest.raises(ValueError, match="batch_size"):
             make_walk_engine(
                 diamond_graph, RandomWalkConfig(walk_engine="csr"), batch_size=0
             )
 
     def test_reference_alias_selects_python_engine(self, diamond_graph):
-        # "reference" is the unified ENGINE_STAGES spelling of the twin.
+        # "reference" names the step-at-a-time twin, as in every ENGINE_STAGES stage.
         engine = make_walk_engine(diamond_graph, RandomWalkConfig(walk_engine="reference"))
         assert isinstance(engine, PythonWalkEngine)
 
@@ -368,7 +368,7 @@ class TestEngineSelection:
 # ----------------------------------------------------------------------
 # Missing start nodes warn instead of silently skipping
 class TestStartNodeWarnings:
-    @pytest.mark.parametrize("engine_name", ["python", "csr"])
+    @pytest.mark.parametrize("engine_name", ["reference", "csr"])
     def test_missing_start_nodes_warn(self, diamond_graph, engine_name):
         config = RandomWalkConfig(
             num_walks=1,
@@ -415,17 +415,30 @@ class TestPipelineIntegration:
         reviews, table, _gold = build_review_world()
         pipeline = TDMatch(TDMatchConfig.fast(), seed=11)
         pipeline.fit(reviews, table)
-        assert pipeline.timings.note("walk_engine") == "csr"
+        assert pipeline.report()["walks"]["engine"] == "csr"
         timings = pipeline.timings.as_dict()
         assert "walks" in timings and "word2vec" in timings
         assert timings["walks"] >= 0.0
 
+    def test_report_names_the_engine_that_ran_after_a_fallback(self, monkeypatch):
+        import repro.graph.walk_engine as walk_engine_module
+
+        def broken_snapshot(graph):
+            raise MemoryError("snapshot unavailable")
+
+        monkeypatch.setattr(walk_engine_module, "csr_adjacency", broken_snapshot)
+        reviews, table, _gold = build_review_world()
+        pipeline = TDMatch(TDMatchConfig.fast(), seed=11).fit(reviews, table)
+        report = pipeline.report()
+        assert report["engines"]["walks"] == "csr"  # what was asked for
+        assert report["walks"]["engine"] == "reference"  # what ran
+
     def test_python_engine_pipeline_matches_quality(self):
         reviews, table, gold = build_review_world()
-        config = TDMatchConfig.fast(walks__walk_engine="python")
+        config = TDMatchConfig.fast(walks__walk_engine="reference")
         pipeline = TDMatch(config, seed=11)
         pipeline.fit(reviews, table)
-        assert pipeline.timings.note("walk_engine") == "python"
+        assert pipeline.report()["walks"]["engine"] == "reference"
         rankings = pipeline.match(k=2)
         hits = sum(1 for doc, gold_ids in gold.items() if rankings[doc].ids(2)[0] in gold_ids)
         assert hits >= 2

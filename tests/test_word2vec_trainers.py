@@ -362,8 +362,9 @@ class TestTrainerParity:
     def test_pipeline_records_trainer_notes(self, tiny_parity_runs):
         _scenario, runs = tiny_parity_runs
         for trainer, (pipeline, _rankings) in runs.items():
-            assert pipeline.timings.note("w2v_trainer") == trainer
-            assert float(pipeline.timings.note("w2v_pairs_per_sec")) > 0
+            model = pipeline.report()["model"]
+            assert model["trainer"] == trainer
+            assert model["pairs_per_sec"] > 0
 
 
 class TestCliTrainerFlag:
